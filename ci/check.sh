@@ -74,6 +74,22 @@ assert record['bench'] == 'core_scale', record['bench']
 assert record['ten_million_job_recipe']['completed'] == 10_000_000
 "
 
+echo "==> perfbench entry points: seed-2022 fingerprints on capacity and flash_taps"
+# perfbench checks every op's output against its recorded seed-2022
+# fingerprint (aggregates, ledger CSV, telemetry CSV), so a renamed entry
+# point or a moved result fails here rather than in a benchmark run.
+cargo build --release -q --offline --manifest-path perfbench/Cargo.toml
+for workload in capacity flash_taps; do
+    last="$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 2022 --seconds 1 --trace 0 | tail -n 1)"
+    echo "$last" | python3 -c "
+import json, sys
+result = json.load(sys.stdin)
+assert result['failed'] == 0, f\"{result['failed']} of {result['attempted']} ops failed\"
+print('$workload: attempted', result['attempted'], 'failed 0')
+" || { echo "perfbench $workload reported failed ops"; exit 1; }
+done
+
 echo "==> result-cache throughput floor (hot-hit lookups >= 20 Melem/s)"
 cache_bench_out="$(cargo bench -p microfaas-bench --bench result_cache 2>/dev/null)"
 echo "$cache_bench_out"

@@ -14,7 +14,7 @@ use microfaas::experiment::{
 use microfaas::micro::{run_microfaas_with, MicroFaasConfig};
 use microfaas::openloop::{
     run_open_loop, run_open_loop_attributed, run_open_loop_monitored_streaming,
-    run_open_loop_streaming, ArrivalProcess, NullSink, OpenLoopConfig, SchedulerPolicy,
+    run_open_loop_streaming, ArrivalProcess, NullSink, OpenLoopConfig,
 };
 use microfaas::report::PhaseColumns;
 use microfaas::timeline::Timeline;
@@ -22,7 +22,7 @@ use microfaas::{FaultsConfig, Jitter};
 use microfaas_energy::attribution::{EnergyLedger, IdlePolicy, Phase};
 use microfaas_hw::boot::{BootPlatform, BootProfile};
 use microfaas_hw::reliability::{simulate_fleet, FleetSpec};
-use microfaas_sched::{parse_budget_spec, GovernorKind};
+use microfaas_sched::{parse_budget_spec, GovernorKind, PlacementKind};
 use microfaas_sim::faults::FaultPlan;
 use microfaas_sim::{
     evaluate_alerts, export_chrome_trace, export_counter_trace, par_map_indexed,
@@ -496,7 +496,7 @@ fn openloop(args: &Args) -> Result<(), ParseArgsError> {
     if rate <= 0.0 {
         return Err(ParseArgsError("--rate must be positive".to_string()));
     }
-    let scheduler: SchedulerPolicy = args
+    let scheduler: PlacementKind = args
         .get_str("policy")
         .unwrap_or("random")
         .parse()
@@ -624,7 +624,7 @@ fn monitor(args: &Args) -> Result<(), ParseArgsError> {
     if rate <= 0.0 {
         return Err(ParseArgsError("--rate must be positive".to_string()));
     }
-    let scheduler: SchedulerPolicy = args
+    let scheduler: PlacementKind = args
         .get_str("policy")
         .unwrap_or("random")
         .parse()

@@ -15,13 +15,22 @@
 //! (`RandomStatic` — formerly `RandomQueue` — `LeastLoaded`, and
 //! `PowerAware`) under the default [`GovernorKind::RebootPerJob`]
 //! behave bit-identically to the pre-subsystem code.
+//!
+//! Both clusters run through one event loop, generic over a private
+//! `Backend`: the SBC fleet (power-gated workers with GPIO lines and
+//! per-worker meter channels, the scheduling subsystem, crash and
+//! recovery) and the conventional VM rack (one always-on host channel,
+//! emptiest-VM dispatch, a reboot between jobs). The loop owns arrivals,
+//! the result cache and coalescing, completion bookkeeping and teardown,
+//! so the two clusters differ only in their hardware model.
 
 use std::collections::VecDeque;
 
 use microfaas_energy::attribution::{Attributor, EnergyLedger, IdlePolicy};
-use microfaas_energy::EnergyMeter;
+use microfaas_energy::{ChannelId, EnergyMeter};
 use microfaas_hw::gpio::{PowerAction, PowerController};
 use microfaas_hw::sbc::{SbcNode, SbcState};
+use microfaas_hw::{RackServer, VmState};
 use microfaas_sched::{
     BudgetDecision, DrainAction, GovernorKind, NodeView, PlacementKind, PolicyEngine,
 };
@@ -46,16 +55,6 @@ use crate::arrivals::{
     ArrivalState, FunctionPicker, Popularity, TenantClass, TenantSummary, TenantTracker,
 };
 
-/// How the orchestration plane picks a worker queue for a new job.
-///
-/// Since the scheduling subsystem landed this is the full
-/// [`PlacementKind`] family from `microfaas-sched`. The historical
-/// open-loop policies map onto it: `RandomQueue` is now
-/// [`PlacementKind::RandomStatic`] (same uniform draw, from the same
-/// simulation-RNG site), and `LeastLoaded` / `PowerAware` keep their
-/// names and exact picks. The alias keeps the old type name compiling.
-pub type SchedulerPolicy = PlacementKind;
-
 /// Configuration of an open-loop run.
 #[derive(Debug, Clone)]
 pub struct OpenLoopConfig {
@@ -68,7 +67,7 @@ pub struct OpenLoopConfig {
     /// Arrival process.
     pub arrival: ArrivalProcess,
     /// Placement policy.
-    pub scheduler: SchedulerPolicy,
+    pub scheduler: PlacementKind,
     /// What a drained worker does with its power state. The default
     /// [`GovernorKind::RebootPerJob`] gates nodes off the moment they
     /// drain (the paper's policy); the alternatives hold nodes at
@@ -262,9 +261,16 @@ impl LatencyAccum for StreamingLatency {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Event {
+/// The shared loop's events: the arrival stream it drives itself, plus
+/// whatever its [`Backend`] schedules.
+enum Event<E> {
     Arrival,
+    Node(E),
+}
+
+/// The SBC fleet's events.
+#[derive(Debug, Clone, Copy)]
+enum SbcEvent {
     PowerEffective(usize),
     BootDone(usize),
     ExecDone(usize),
@@ -276,6 +282,15 @@ enum Event {
     /// An [`EnergyBudget`](GovernorKind::EnergyBudget) deferral elapsed:
     /// the oldest parked job re-enters placement unconditionally.
     Release,
+}
+
+/// The VM rack's events, per VM.
+#[derive(Debug, Clone, Copy)]
+enum VmEvent {
+    ExecDone(usize),
+    JobDone(usize),
+    /// The between-jobs reboot finished.
+    Rebooted(usize),
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -295,14 +310,32 @@ struct QueuedJob {
     throttle: f64,
 }
 
+/// An invocation executing on a node.
+#[derive(Debug, Clone, Copy)]
+struct InFlight {
+    job: QueuedJob,
+    exec: SimDuration,
+    started: SimTime,
+}
+
+/// Where one node's power lands: its meter channel, its attribution
+/// channel (which its power samples also report as), and the worker its
+/// state changes report as.
+#[derive(Clone, Copy)]
+struct NodeChannel {
+    meter: ChannelId,
+    attr: usize,
+    worker: usize,
+}
+
 struct Worker {
     node: SbcNode,
     queue: VecDeque<QueuedJob>,
     /// Set between the GPIO press and BootDone so the scheduler can see
     /// "waking" nodes as powered.
     waking: bool,
-    /// `(job, exec, started)` for the in-flight invocation.
-    current: Option<(QueuedJob, SimDuration, SimTime)>,
+    /// The in-flight invocation.
+    current: Option<InFlight>,
     /// The invocation's next lifecycle event (ExecDone or JobDone),
     /// cancelled when an injected crash interrupts it.
     pending: Option<EventId>,
@@ -390,6 +423,7 @@ pub fn run_open_loop(config: &OpenLoopConfig) -> OpenLoopRun {
 pub fn run_open_loop_with(config: &OpenLoopConfig, observer: &mut Observer<'_>) -> OpenLoopRun {
     run_open_loop_core(
         config,
+        SbcFleet::new,
         observer,
         Samples::new(),
         &mut NullSink,
@@ -429,6 +463,7 @@ pub fn run_open_loop_attributed(
 ) -> (OpenLoopRun, EnergyLedger) {
     let (run, ledger, _end) = run_open_loop_core(
         config,
+        SbcFleet::new,
         &mut Observer::disabled(),
         Samples::new(),
         &mut NullSink,
@@ -452,6 +487,7 @@ pub fn run_open_loop_streaming_attributed<S: RunSink>(
 ) -> (OpenLoopRun, EnergyLedger) {
     let (run, ledger, _end) = run_open_loop_core(
         config,
+        SbcFleet::new,
         &mut Observer::disabled(),
         StreamingLatency::new(),
         sink,
@@ -522,6 +558,7 @@ fn make_attributor(config: &OpenLoopConfig, idle_policy: IdlePolicy) -> Attribut
 pub fn run_open_loop_streaming<S: RunSink>(config: &OpenLoopConfig, sink: &mut S) -> OpenLoopRun {
     run_open_loop_core(
         config,
+        SbcFleet::new,
         &mut Observer::disabled(),
         StreamingLatency::new(),
         sink,
@@ -549,6 +586,7 @@ pub fn run_open_loop_monitored(
     let (events, mut tap) = recorder.taps();
     let (run, _ledger, end) = run_open_loop_core(
         config,
+        SbcFleet::new,
         &mut TypedObserver::new(events),
         Samples::new(),
         &mut tap,
@@ -573,6 +611,7 @@ pub fn run_open_loop_monitored_streaming(
     let (events, mut tap) = recorder.taps();
     let (run, _ledger, end) = run_open_loop_core(
         config,
+        SbcFleet::new,
         &mut TypedObserver::new(events),
         StreamingLatency::new(),
         &mut tap,
@@ -599,6 +638,7 @@ pub fn run_open_loop_monitored_attributed(
     let (events, mut tap) = recorder.taps();
     let (run, ledger, end) = run_open_loop_core(
         config,
+        SbcFleet::new,
         &mut TypedObserver::new(events),
         StreamingLatency::new(),
         &mut tap,
@@ -611,45 +651,330 @@ pub fn run_open_loop_monitored_attributed(
     )
 }
 
-fn run_open_loop_core<L: LatencyAccum, S: RunSink, O: TraceObserver>(
+/// Runs the same arrival process against the conventional cluster:
+/// `vms` microVMs that are always powered (the host never drops below
+/// its 60 W idle floor). The contrast with [`run_open_loop`] is the
+/// paper's energy-proportionality argument made dynamic: at low load
+/// the conventional J/function explodes while MicroFaaS stays flat.
+///
+/// # Panics
+///
+/// Panics if `vms` is zero or the config is invalid per
+/// [`run_open_loop`].
+pub fn run_open_loop_conventional(config: &OpenLoopConfig, vms: usize) -> OpenLoopRun {
+    run_open_loop_core(
+        config,
+        |sim| VmRack::new(vms, sim),
+        &mut Observer::disabled(),
+        Samples::new(),
+        &mut NullSink,
+        None,
+    )
+    .0
+}
+
+/// [`run_open_loop_conventional`] with the **flight recorder**
+/// attached: the same run plus a windowed [`TelemetrySeries`], so the
+/// baseline's time-resolved power floor can sit next to MicroFaaS
+/// telemetry from [`run_open_loop_monitored_streaming`]. Power samples
+/// carry the rack server's single metered channel. Latencies fold on
+/// the streaming results path.
+///
+/// # Panics
+///
+/// As [`run_open_loop_conventional`], plus if `telemetry` is invalid.
+pub fn run_open_loop_conventional_monitored(
     config: &OpenLoopConfig,
+    vms: usize,
+    telemetry: &TelemetryConfig,
+) -> (OpenLoopRun, TelemetrySeries) {
+    let mut recorder = FlightRecorder::new(telemetry, &config.tenants);
+    let (events, mut tap) = recorder.taps();
+    let (run, _ledger, end) = run_open_loop_core(
+        config,
+        |sim| VmRack::new(vms, sim),
+        &mut TypedObserver::new(events),
+        StreamingLatency::new(),
+        &mut tap,
+        None,
+    );
+    (run, recorder.into_series(end))
+}
+
+/// [`run_open_loop_conventional`] with **energy attribution**: the
+/// host's single metered channel is split equally among the VMs'
+/// concurrently executing jobs at every instant, and the (dominant)
+/// idle-floor remainder is apportioned per `idle_policy`. The
+/// conventional model has no per-job boot window the attributor can
+/// see — VM reboot energy lands on whatever else is running, or on the
+/// idle pool — so the `boot_j` column is always zero here. Budgets
+/// never apply: this simulator ignores [`OpenLoopConfig::governor`].
+///
+/// # Panics
+///
+/// As [`run_open_loop_conventional`].
+pub fn run_open_loop_conventional_attributed(
+    config: &OpenLoopConfig,
+    vms: usize,
+    idle_policy: IdlePolicy,
+) -> (OpenLoopRun, EnergyLedger) {
+    let (run, ledger, _end) = run_open_loop_core(
+        config,
+        |sim| VmRack::new(vms, sim),
+        &mut Observer::disabled(),
+        Samples::new(),
+        &mut NullSink,
+        Some(make_attributor(config, idle_policy)),
+    );
+    (run, ledger.expect("attributor was supplied"))
+}
+
+/// The simulation state the shared loop lends its [`Backend`] on every
+/// call: the config, the simulation RNG and event queue, the meter, the
+/// optional attributor and the observer.
+struct Sim<'a, E, O> {
+    config: &'a OpenLoopConfig,
+    observer: &'a mut O,
+    rng: Rng,
+    queue: EventQueue<Event<E>>,
+    meter: EnergyMeter,
+    attr: Option<Attributor>,
+}
+
+impl<E, O: TraceObserver> Sim<'_, E, O> {
+    fn schedule(&mut self, at: SimTime, event: E) -> EventId {
+        self.queue.schedule(at, Event::Node(event))
+    }
+
+    /// Meters a node's new draw and reports its new state.
+    fn set_power(&mut self, now: SimTime, ch: NodeChannel, state: WorkerState, watts: f64) {
+        self.meter.set_power(now, ch.meter, watts);
+        if let Some(a) = self.attr.as_mut() {
+            a.set_power(ch.attr, now, watts);
+        }
+        let worker = ch.worker;
+        self.observer
+            .emit(now, TraceEvent::WorkerStateChange { worker, state });
+        self.observer.emit(
+            now,
+            TraceEvent::PowerSample {
+                worker: ch.attr,
+                watts,
+            },
+        );
+    }
+
+    /// Starts `job` on a node the backend has just moved to executing
+    /// at `watts`, and draws its jittered execution time, stretched by
+    /// `stretch`.
+    fn start_job(
+        &mut self,
+        now: SimTime,
+        ch: NodeChannel,
+        job: QueuedJob,
+        watts: f64,
+        platform: WorkerPlatform,
+        stretch: f64,
+    ) -> InFlight {
+        self.observer.emit(
+            now,
+            TraceEvent::JobStarted {
+                job: job.id,
+                function: job.function.name(),
+                worker: ch.worker,
+            },
+        );
+        self.set_power(now, ch, WorkerState::Executing, watts);
+        if let Some(a) = self.attr.as_mut() {
+            let function = usize::from(job.function.index());
+            a.job_started(ch.attr, now, job.id, function, job.tenant as usize);
+        }
+        let exec = service_time(job.function)
+            .exec(platform)
+            .mul_f64(self.config.jitter.factor(&mut self.rng) * stretch);
+        InFlight {
+            job,
+            exec,
+            started: now,
+        }
+    }
+
+    /// The response leaves the node; returns when the lumped
+    /// orchestration + network overhead that follows completes the job.
+    fn send_response(
+        &mut self,
+        now: SimTime,
+        ch: NodeChannel,
+        job: &QueuedJob,
+        platform: WorkerPlatform,
+    ) -> SimTime {
+        if let Some(a) = self.attr.as_mut() {
+            // The draw does not change here, but the phase does:
+            // everything from this instant to JobDone is the
+            // response/overhead window.
+            a.response_started(ch.attr, now, job.id);
+        }
+        self.observer.emit(
+            now,
+            TraceEvent::ResponseSent {
+                job: job.id,
+                function: job.function.name(),
+                worker: ch.worker,
+            },
+        );
+        let overhead = service_time(job.function)
+            .overhead(platform)
+            .mul_f64(self.config.jitter.factor(&mut self.rng));
+        now + overhead
+    }
+}
+
+/// Fleet-level aggregates a backend reports at the end of a run.
+struct FleetSummary {
+    mean_powered_on: f64,
+    power_cycles: u64,
+    faults_injected: u64,
+}
+
+/// The hardware half of an open-loop run: one cluster's node FSM, power
+/// model and dispatch. [`run_open_loop_core`] owns everything else —
+/// arrivals, the result cache and coalescing, completion bookkeeping and
+/// teardown — and never asks which backend it drives.
+trait Backend {
+    /// The events this backend schedules on the shared queue.
+    type Event;
+
+    /// Places one job that passed cache intake. Returns `false` when
+    /// admission control shed it.
+    fn dispatch<O: TraceObserver>(
+        &mut self,
+        job: QueuedJob,
+        now: SimTime,
+        sim: &mut Sim<'_, Self::Event, O>,
+    ) -> bool;
+
+    /// Runs once after every arrival batch.
+    fn after_arrivals<O: TraceObserver>(
+        &mut self,
+        _now: SimTime,
+        _sim: &mut Sim<'_, Self::Event, O>,
+    ) {
+    }
+
+    /// Handles one of the backend's events. Returns the worker and the
+    /// invocation when the event finishes one; the loop then records it
+    /// and calls [`Backend::after_job`].
+    fn on_event<O: TraceObserver>(
+        &mut self,
+        event: Self::Event,
+        now: SimTime,
+        sim: &mut Sim<'_, Self::Event, O>,
+    ) -> Option<(usize, InFlight)>;
+
+    /// Moves worker `w`, whose finished job (and any coalesced
+    /// followers) the loop has just recorded, to its next state.
+    fn after_job<O: TraceObserver>(
+        &mut self,
+        w: usize,
+        now: SimTime,
+        sim: &mut Sim<'_, Self::Event, O>,
+    );
+
+    /// Fleet-level aggregates at the run's end instant.
+    fn summary(&self, end: SimTime) -> FleetSummary;
+}
+
+/// Completion bookkeeping: every finished invocation — executed, served
+/// from the cache, or coalesced onto a leader — goes through
+/// [`Tally::complete`].
+struct Tally<'a, L, S> {
+    latencies: L,
+    sink: &'a mut S,
+    tenants: TenantTracker,
+    handles: Option<OpenMetrics>,
+    completed: u64,
+}
+
+impl<L: LatencyAccum, S: RunSink> Tally<'_, L, S> {
+    /// Records `job` as completed at `now` on `worker`. `executed` is
+    /// `(exec, overhead)` for a job that ran, `None` for one served
+    /// without running (a cache hit or a coalesced follower): that costs
+    /// zero joules but still counts as a completion for the
+    /// usage-weighted idle split.
+    fn complete<E, O: TraceObserver>(
+        &mut self,
+        sim: &mut Sim<'_, E, O>,
+        now: SimTime,
+        job: &QueuedJob,
+        worker: usize,
+        executed: Option<(SimDuration, SimDuration)>,
+    ) {
+        self.completed += 1;
+        let latency = now.duration_since(job.arrived).as_secs_f64();
+        self.latencies.record(latency);
+        self.tenants.record(job.tenant, latency);
+        if let (None, Some(a)) = (executed, sim.attr.as_mut()) {
+            a.record_free(usize::from(job.function.index()), job.tenant as usize);
+        }
+        let (exec, overhead) = executed.unwrap_or_default();
+        self.sink.on_completion(&Completion {
+            job: job.id,
+            function: job.function,
+            worker,
+            arrived: job.arrived,
+            finished: now,
+            exec,
+            tenant: job.tenant,
+        });
+        sim.observer.emit(
+            now,
+            TraceEvent::JobCompleted {
+                job: job.id,
+                function: job.function.name(),
+                worker,
+                exec,
+                overhead,
+            },
+        );
+        if let (Some(metrics), Some(h)) = (sim.observer.metrics(), self.handles.as_ref()) {
+            metrics.inc(h.jobs_completed);
+            metrics.observe(h.exec_seconds, exec.as_secs_f64());
+            metrics.observe(h.latency_seconds, latency);
+        }
+    }
+}
+
+/// The one open-loop event loop. `build` creates the backend once the
+/// shared state exists, so it can add its meter channels and schedule
+/// its opening events ahead of the first arrival.
+fn run_open_loop_core<E, B, L, S, O>(
+    config: &OpenLoopConfig,
+    build: impl FnOnce(&mut Sim<'_, E, O>) -> B,
     observer: &mut O,
-    mut latencies: L,
+    latencies: L,
     sink: &mut S,
-    mut attr: Option<Attributor>,
-) -> (OpenLoopRun, Option<EnergyLedger>, SimTime) {
-    assert!(config.workers > 0, "cluster needs at least one worker");
+    attr: Option<Attributor>,
+) -> (OpenLoopRun, Option<EnergyLedger>, SimTime)
+where
+    B: Backend<Event = E>,
+    L: LatencyAccum,
+    S: RunSink,
+    O: TraceObserver,
+{
     assert!(!config.functions.is_empty(), "need at least one function");
     config.arrival.validate();
     // Compiles the popularity skew (validating it) and the tenant mix.
     // With the defaults both are draw-for-draw identical to the
     // historical code: one uniform index per arrival, no tenant draw.
     let picker = FunctionPicker::new(&config.popularity, config.functions.len());
-    let mut tenant_tracker = TenantTracker::new(&config.tenants);
     let mut arrival_state = ArrivalState::default();
-    let handles = observer.metrics().map(OpenMetrics::register);
-
-    // The scheduling subsystem: placement + governor. The open loop's
-    // historical policies (RandomStatic/LeastLoaded/PowerAware) under
-    // the default governor are the legacy surface — all subsystem
-    // telemetry stays silent there so traces and expositions remain
-    // byte-identical to the pre-subsystem code.
-    let mut policy = PolicyEngine::new(config.scheduler, config.governor, config.seed);
-    let legacy_placement = matches!(
-        config.scheduler,
-        PlacementKind::RandomStatic | PlacementKind::LeastLoaded | PlacementKind::PowerAware
-    );
-    let sched_active = !(legacy_placement && config.governor == GovernorKind::RebootPerJob);
-    let sched_handles = if sched_active {
-        observer.metrics().map(SchedMetrics::register)
-    } else {
-        None
+    let mut tally = Tally {
+        latencies,
+        sink,
+        tenants: TenantTracker::new(&config.tenants),
+        handles: observer.metrics().map(OpenMetrics::register),
+        completed: 0,
     };
-    let mut views: Vec<NodeView> = Vec::with_capacity(config.workers);
-    // Governors that never read the booted-idle census (every one but
-    // WarmPool) let the drain and idle-gate paths skip their O(workers)
-    // fleet scans — the placeholder they get instead is ignored.
-    let wants_census = policy.wants_idle_census();
 
     // The result cache and its in-flight coalescing table. With the
     // default `Off` this is `None`, every cache branch below is dead,
@@ -659,55 +984,20 @@ fn run_open_loop_core<L: LatencyAccum, S: RunSink, O: TraceObserver>(
     let mut coalesce: CoalesceTable<QueuedJob> = CoalesceTable::new();
     let input_variants = config.cache.input_variants() as usize;
 
-    let mut rng = Rng::new(config.seed);
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    let mut gpio = PowerController::new(config.workers);
-    let mut meter = EnergyMeter::new(SimTime::ZERO);
-    let channels: Vec<_> = (0..config.workers)
-        .map(|w| meter.add_channel(format!("sbc-{w}")))
-        .collect();
-    if let Some(a) = attr.as_mut() {
-        // Attribution channels mirror the meter's: index == worker.
-        for _ in 0..config.workers {
-            a.add_channel();
-        }
-    }
-    // The EnergyBudget governor's admission loop; every other governor
-    // answers `false` and the budget branches below are dead.
-    let budget_active = policy.budget_active();
-    debug_assert!(
-        !budget_active || attr.is_some(),
-        "budget charging requires per-job attribution"
-    );
-    // Jobs parked by a BudgetDecision::Defer, released FIFO by
-    // Event::Release.
-    let mut deferred: VecDeque<QueuedJob> = VecDeque::new();
-    let mut workers: Vec<Worker> = (0..config.workers)
-        .map(|w| Worker {
-            node: SbcNode::new(w, SimTime::ZERO),
-            queue: VecDeque::new(),
-            waking: false,
-            current: None,
-            pending: None,
-            gate: None,
-        })
-        .collect();
-
-    let mut powered_on = TimeWeighted::new(SimTime::ZERO, 0.0);
-    let mut completed: u64 = 0;
+    let mut sim = Sim {
+        config,
+        observer,
+        rng: Rng::new(config.seed),
+        queue: EventQueue::new(),
+        meter: EnergyMeter::new(SimTime::ZERO),
+        attr,
+    };
+    let mut backend = build(&mut sim);
     let mut arrived: u64 = 0;
-    let mut faults_injected: u64 = 0;
     let horizon = SimTime::ZERO + config.duration;
+    sim.queue.schedule(SimTime::ZERO, Event::Arrival);
 
-    let injector = microfaas_sim::faults::FaultInjector::new(&config.faults.plan);
-    for (at, w) in injector.scheduled_crashes() {
-        if *w < config.workers {
-            queue.schedule(*at, Event::Crash(*w));
-        }
-    }
-    queue.schedule(SimTime::ZERO, Event::Arrival);
-
-    while let Some((now, event)) = queue.pop() {
+    while let Some((now, event)) = sim.queue.pop() {
         match event {
             Event::Arrival => {
                 if now >= horizon {
@@ -715,34 +1005,37 @@ fn run_open_loop_core<L: LatencyAccum, S: RunSink, O: TraceObserver>(
                 }
                 for _ in 0..config.arrival.batch() {
                     arrived += 1;
-                    let function = config.functions[picker.pick(&mut rng)];
+                    let function = config.functions[picker.pick(&mut sim.rng)];
                     let mut job = QueuedJob {
                         id: arrived,
                         function,
                         arrived: now,
-                        tenant: tenant_tracker.draw(&mut rng),
+                        tenant: tally.tenants.draw(&mut sim.rng),
                         key: 0,
                         throttle: 1.0,
                     };
-                    observer.emit(
+                    sim.observer.emit(
                         now,
                         TraceEvent::JobEnqueued {
                             job: job.id,
                             function: function.name(),
                         },
                     );
-                    if let (Some(metrics), Some(h)) = (observer.metrics(), handles.as_ref()) {
+                    if let (Some(metrics), Some(h)) =
+                        (sim.observer.metrics(), tally.handles.as_ref())
+                    {
                         metrics.inc(h.jobs_arrived);
                     }
                     if let Some(cache) = cache.as_mut() {
                         // One extra sim-stream draw picks the canonical
                         // input this invocation carries.
-                        job.key = content_key(function.index(), rng.index(input_variants) as u64);
+                        job.key =
+                            content_key(function.index(), sim.rng.index(input_variants) as u64);
                         if cache.lookup(job.key, now.as_micros()).is_some() {
                             // Zero-energy fast path: the stored result is
                             // served by the orchestration plane (worker 0
                             // by convention) with no queue, boot, or exec.
-                            observer.emit(
+                            sim.observer.emit(
                                 now,
                                 TraceEvent::CacheHit {
                                     job: job.id,
@@ -750,43 +1043,7 @@ fn run_open_loop_core<L: LatencyAccum, S: RunSink, O: TraceObserver>(
                                     key: job.key,
                                 },
                             );
-                            completed += 1;
-                            latencies.record(0.0);
-                            tenant_tracker.record(job.tenant, 0.0);
-                            if let Some(a) = attr.as_mut() {
-                                // A hit costs zero joules but still
-                                // counts as a completion for the
-                                // usage-weighted idle split.
-                                a.record_free(
-                                    usize::from(job.function.index()),
-                                    job.tenant as usize,
-                                );
-                            }
-                            sink.on_completion(&Completion {
-                                job: job.id,
-                                function: job.function,
-                                worker: 0,
-                                arrived: job.arrived,
-                                finished: now,
-                                exec: SimDuration::ZERO,
-                                tenant: job.tenant,
-                            });
-                            observer.emit(
-                                now,
-                                TraceEvent::JobCompleted {
-                                    job: job.id,
-                                    function: function.name(),
-                                    worker: 0,
-                                    exec: SimDuration::ZERO,
-                                    overhead: SimDuration::ZERO,
-                                },
-                            );
-                            if let (Some(metrics), Some(h)) = (observer.metrics(), handles.as_ref())
-                            {
-                                metrics.inc(h.jobs_completed);
-                                metrics.observe(h.exec_seconds, 0.0);
-                                metrics.observe(h.latency_seconds, 0.0);
-                            }
+                            tally.complete(&mut sim, now, &job, 0, None);
                             continue;
                         }
                         if !coalesce.try_lead(job.key, job.id) {
@@ -794,7 +1051,7 @@ fn run_open_loop_core<L: LatencyAccum, S: RunSink, O: TraceObserver>(
                             // park this one behind its leader.
                             cache.note_coalesced();
                             let leader = coalesce.leader(job.key).expect("key in flight");
-                            observer.emit(
+                            sim.observer.emit(
                                 now,
                                 TraceEvent::Coalesced {
                                     job: job.id,
@@ -805,7 +1062,7 @@ fn run_open_loop_core<L: LatencyAccum, S: RunSink, O: TraceObserver>(
                             coalesce.follow(job.key, job);
                             continue;
                         }
-                        observer.emit(
+                        sim.observer.emit(
                             now,
                             TraceEvent::CacheMiss {
                                 job: job.id,
@@ -814,575 +1071,63 @@ fn run_open_loop_core<L: LatencyAccum, S: RunSink, O: TraceObserver>(
                             },
                         );
                     }
-                    if budget_active {
-                        // Admission control at the orchestration plane's
-                        // front door: the tenant's token bucket decides
-                        // whether this invocation runs, waits, or runs
-                        // slowly. Cache hits above bypass it — a served
-                        // result costs no joules.
-                        match policy.budget_admit(job.tenant, now) {
-                            BudgetDecision::Admit => {}
-                            BudgetDecision::Shed => {
-                                observer.emit(
-                                    now,
-                                    TraceEvent::BudgetAction {
-                                        tenant: job.tenant,
-                                        action: "shed",
-                                    },
-                                );
-                                // Release any coalesce leadership the
-                                // cache block just took, so a later
-                                // identical invoke can lead.
-                                if cache.is_some() {
-                                    let _ = coalesce.complete(job.key);
-                                }
-                                continue;
-                            }
-                            BudgetDecision::Defer(delay) => {
-                                observer.emit(
-                                    now,
-                                    TraceEvent::BudgetAction {
-                                        tenant: job.tenant,
-                                        action: "defer",
-                                    },
-                                );
-                                // Coalesce leadership (if any) stays with
-                                // the deferred job; followers drain when
-                                // it eventually completes.
-                                deferred.push_back(job);
-                                queue.schedule(now + delay, Event::Release);
-                                continue;
-                            }
-                            BudgetDecision::Throttle(factor) => {
-                                observer.emit(
-                                    now,
-                                    TraceEvent::BudgetAction {
-                                        tenant: job.tenant,
-                                        action: "throttle",
-                                    },
-                                );
-                                job.throttle = factor;
-                            }
-                        }
-                    }
-                    dispatch_job(
-                        job,
-                        now,
-                        config,
-                        &mut policy,
-                        cache.is_some(),
-                        sched_active,
-                        &mut views,
-                        &mut workers,
-                        &mut powered_on,
-                        &mut gpio,
-                        &mut queue,
-                        &mut meter,
-                        &channels,
-                        &mut rng,
-                        observer,
-                        &sched_handles,
-                        attr.as_mut(),
-                    );
-                }
-                // WarmPool prewarm: wake gated-off nodes until the
-                // booted reserve matches the governor's target. Zero for
-                // every other governor, so the legacy paths never enter.
-                let target = policy.warm_target(config.workers);
-                if target > 0 {
-                    let mut powered = workers.iter().filter(|x| x.is_powered()).count();
-                    for w in 0..config.workers {
-                        if powered >= target {
-                            break;
-                        }
-                        if !workers[w].is_powered() {
-                            workers[w].waking = true;
-                            powered += 1;
-                            powered_on.add(now, 1.0);
-                            observer.emit(
-                                now,
-                                TraceEvent::WakeRequested {
-                                    worker: w,
-                                    reason: "prewarm",
-                                },
-                            );
-                            let effective = gpio.actuate(now, w, PowerAction::On);
-                            queue.schedule(effective, Event::PowerEffective(w));
-                            observer.emit(
-                                now,
-                                TraceEvent::GovernorTransition {
-                                    worker: w,
-                                    action: "prewarm",
-                                },
-                            );
-                            if let (Some(metrics), Some(h)) =
-                                (observer.metrics(), sched_handles.as_ref())
-                            {
-                                metrics.inc(h.governor_transitions);
-                            }
-                        }
+                    if !backend.dispatch(job, now, &mut sim) && cache.is_some() {
+                        // Release the coalesce leadership the cache block
+                        // just took, so a later identical invoke can lead.
+                        let _ = coalesce.complete(job.key);
                     }
                 }
-                let gap = config.arrival.next_gap(now, &mut rng, &mut arrival_state);
-                queue.schedule(now + gap, Event::Arrival);
+                backend.after_arrivals(now, &mut sim);
+                let gap = config
+                    .arrival
+                    .next_gap(now, &mut sim.rng, &mut arrival_state);
+                sim.queue.schedule(now + gap, Event::Arrival);
             }
-            Event::PowerEffective(w) => {
-                workers[w].waking = false;
-                workers[w].node.power_on(now).expect("was off");
-                let watts = workers[w].node.power().value();
-                meter.set_power(now, channels[w], watts);
-                if let Some(a) = attr.as_mut() {
-                    a.set_power(w, now, watts);
-                    a.boot_started(w, now);
-                }
-                observer.emit(
-                    now,
-                    TraceEvent::WorkerStateChange {
-                        worker: w,
-                        state: WorkerState::Booting,
-                    },
-                );
-                observer.emit(now, TraceEvent::PowerSample { worker: w, watts });
-                queue.schedule(now + workers[w].node.boot_duration(), Event::BootDone(w));
-            }
-            Event::BootDone(w) => {
-                workers[w].node.boot_complete(now).expect("was booting");
-                let watts = workers[w].node.power().value();
-                meter.set_power(now, channels[w], watts);
-                if let Some(a) = attr.as_mut() {
-                    a.set_power(w, now, watts);
-                    a.boot_done(w, now);
-                }
-                observer.emit(
-                    now,
-                    TraceEvent::WorkerStateChange {
-                        worker: w,
-                        state: WorkerState::Idle,
-                    },
-                );
-                observer.emit(now, TraceEvent::PowerSample { worker: w, watts });
-                if workers[w].queue.is_empty() {
-                    // Only a prewarmed node boots to an empty queue (the
-                    // legacy policies wake a node exclusively for queued
-                    // work): it joins the warm reserve and idles.
+            Event::Node(event) => {
+                let Some((w, run)) = backend.on_event(event, now, &mut sim) else {
                     continue;
-                }
-                begin_job(
-                    w,
-                    now,
-                    config,
-                    &mut workers,
-                    &mut queue,
-                    &mut meter,
-                    &channels,
-                    &mut rng,
-                    observer,
-                    attr.as_mut(),
-                );
-            }
-            Event::ExecDone(w) => {
-                let (job, _exec, _started) = workers[w].current.expect("job in flight");
-                if let Some(a) = attr.as_mut() {
-                    // The draw does not change here, but the phase does:
-                    // everything from this instant to JobDone is the
-                    // response/overhead window.
-                    a.response_started(w, now, job.id);
-                }
-                // The response leaves the worker here; the lumped
-                // overhead that follows is orchestration + network time.
-                observer.emit(
-                    now,
-                    TraceEvent::ResponseSent {
-                        job: job.id,
-                        function: job.function.name(),
-                        worker: w,
-                    },
-                );
-                let overhead = service_time(job.function)
-                    .overhead(WorkerPlatform::ArmSbc)
-                    .mul_f64(config.jitter.factor(&mut rng));
-                workers[w].pending = Some(queue.schedule(now + overhead, Event::JobDone(w)));
-            }
-            Event::JobDone(w) => {
-                workers[w].pending = None;
-                let (job, exec, started) = workers[w].current.take().expect("job in flight");
-                // Settle the job's joule vector before any power change
-                // below, then charge its tenant's budget with the exact
-                // figure (picojoules → joules).
-                let job_pj = attr.as_mut().map(|a| a.job_finished(w, now, job.id));
-                if budget_active {
-                    let pj = job_pj.expect("budget runs carry an attributor");
-                    if policy.budget_note_energy(job.tenant, pj as f64 / 1e12, now) {
-                        observer.emit(now, TraceEvent::BudgetBreach { tenant: job.tenant });
-                    }
-                }
-                completed += 1;
-                let latency = now.duration_since(job.arrived);
-                latencies.record(latency.as_secs_f64());
-                tenant_tracker.record(job.tenant, latency.as_secs_f64());
-                sink.on_completion(&Completion {
-                    job: job.id,
-                    function: job.function,
-                    worker: w,
-                    arrived: job.arrived,
-                    finished: now,
-                    exec,
-                    tenant: job.tenant,
-                });
-                observer.emit(
-                    now,
-                    TraceEvent::JobCompleted {
-                        job: job.id,
-                        function: job.function.name(),
-                        worker: w,
-                        exec,
-                        overhead: now.duration_since(started + exec),
-                    },
-                );
-                if let (Some(metrics), Some(h)) = (observer.metrics(), handles.as_ref()) {
-                    metrics.inc(h.jobs_completed);
-                    metrics.observe(h.exec_seconds, exec.as_secs_f64());
-                    metrics.observe(h.latency_seconds, latency.as_secs_f64());
-                }
+                };
+                let overhead = now.duration_since(run.started + run.exec);
+                tally.complete(&mut sim, now, &run.job, w, Some((run.exec, overhead)));
                 if let Some(cache) = cache.as_mut() {
                     // The leader's result commits: store it, then drain
                     // every coalesced follower at this instant. Each
                     // follower pays only its queue wait — zero boot,
                     // exec, overhead, and energy.
-                    cache.insert(job.key, (), now.as_micros());
-                    for follower in coalesce.complete(job.key) {
-                        completed += 1;
-                        let wait = now.duration_since(follower.arrived);
-                        latencies.record(wait.as_secs_f64());
-                        tenant_tracker.record(follower.tenant, wait.as_secs_f64());
-                        if let Some(a) = attr.as_mut() {
-                            a.record_free(
-                                usize::from(follower.function.index()),
-                                follower.tenant as usize,
-                            );
-                        }
-                        sink.on_completion(&Completion {
-                            job: follower.id,
-                            function: follower.function,
-                            worker: w,
-                            arrived: follower.arrived,
-                            finished: now,
-                            exec: SimDuration::ZERO,
-                            tenant: follower.tenant,
-                        });
-                        observer.emit(
-                            now,
-                            TraceEvent::JobCompleted {
-                                job: follower.id,
-                                function: follower.function.name(),
-                                worker: w,
-                                exec: SimDuration::ZERO,
-                                overhead: SimDuration::ZERO,
-                            },
-                        );
-                        if let (Some(metrics), Some(h)) = (observer.metrics(), handles.as_ref()) {
-                            metrics.inc(h.jobs_completed);
-                            metrics.observe(h.exec_seconds, 0.0);
-                            metrics.observe(h.latency_seconds, wait.as_secs_f64());
-                        }
+                    cache.insert(run.job.key, (), now.as_micros());
+                    for follower in coalesce.complete(run.job.key) {
+                        tally.complete(&mut sim, now, &follower, w, None);
                     }
                 }
-                if workers[w].queue.is_empty() {
-                    // Queue drained: the governor picks the power regime.
-                    // RebootPerJob (the default) always answers PowerOff,
-                    // keeping the legacy gate-off path byte-identical.
-                    let warm_idle = if wants_census {
-                        1 + workers
-                            .iter()
-                            .filter(|x| x.node.state() == SbcState::Idle)
-                            .count()
-                    } else {
-                        1 // never read — the census scan is skipped
-                    };
-                    match policy.on_drain(now, warm_idle) {
-                        DrainAction::PowerOff => {
-                            workers[w]
-                                .node
-                                .finish_job_and_power_off(now)
-                                .expect("was executing");
-                            powered_on.add(now, -1.0);
-                            gpio.actuate(now, w, PowerAction::Off);
-                            meter.set_power(now, channels[w], 0.0);
-                            if let Some(a) = attr.as_mut() {
-                                a.set_power(w, now, 0.0);
-                            }
-                            observer.emit(
-                                now,
-                                TraceEvent::WorkerStateChange {
-                                    worker: w,
-                                    state: WorkerState::Off,
-                                },
-                            );
-                            observer.emit(
-                                now,
-                                TraceEvent::PowerSample {
-                                    worker: w,
-                                    watts: 0.0,
-                                },
-                            );
-                        }
-                        DrainAction::Standby { idle_timeout } => {
-                            // Hold the node booted-idle at standby draw
-                            // so the next arrival skips the boot window.
-                            workers[w]
-                                .node
-                                .finish_job_and_standby(now)
-                                .expect("was executing");
-                            let watts = workers[w].node.power().value();
-                            meter.set_power(now, channels[w], watts);
-                            if let Some(a) = attr.as_mut() {
-                                a.set_power(w, now, watts);
-                            }
-                            observer.emit(
-                                now,
-                                TraceEvent::WorkerStateChange {
-                                    worker: w,
-                                    state: WorkerState::Idle,
-                                },
-                            );
-                            observer.emit(now, TraceEvent::PowerSample { worker: w, watts });
-                            observer.emit(
-                                now,
-                                TraceEvent::GovernorTransition {
-                                    worker: w,
-                                    action: "standby",
-                                },
-                            );
-                            if let (Some(metrics), Some(h)) =
-                                (observer.metrics(), sched_handles.as_ref())
-                            {
-                                metrics.inc(h.governor_transitions);
-                            }
-                            if let Some(window) = idle_timeout {
-                                workers[w].gate =
-                                    Some(queue.schedule(now + window, Event::IdleGate(w)));
-                            }
-                        }
-                    }
-                } else if policy.reboot_between_jobs(true) {
-                    if let (Some(metrics), Some(h)) = (observer.metrics(), sched_handles.as_ref()) {
-                        metrics.inc(h.cold_boots);
-                    }
-                    workers[w]
-                        .node
-                        .finish_job_and_reboot(now)
-                        .expect("was executing");
-                    let watts = workers[w].node.power().value();
-                    meter.set_power(now, channels[w], watts);
-                    if let Some(a) = attr.as_mut() {
-                        a.set_power(w, now, watts);
-                        a.boot_started(w, now);
-                    }
-                    observer.emit(
-                        now,
-                        TraceEvent::WorkerStateChange {
-                            worker: w,
-                            state: WorkerState::Rebooting,
-                        },
-                    );
-                    observer.emit(now, TraceEvent::PowerSample { worker: w, watts });
-                    queue.schedule(now + workers[w].node.boot_duration(), Event::BootDone(w));
-                } else {
-                    // Warm continuation: skip the between-jobs reboot
-                    // and start the next queued job immediately.
-                    if let (Some(metrics), Some(h)) = (observer.metrics(), sched_handles.as_ref()) {
-                        metrics.inc(h.warm_hits);
-                    }
-                    workers[w]
-                        .node
-                        .finish_job_and_standby(now)
-                        .expect("was executing");
-                    begin_job(
-                        w,
-                        now,
-                        config,
-                        &mut workers,
-                        &mut queue,
-                        &mut meter,
-                        &channels,
-                        &mut rng,
-                        observer,
-                        attr.as_mut(),
-                    );
-                }
-            }
-            Event::Crash(w) => {
-                // A crash only lands on a node that is actually running
-                // an invocation; a gated-off node has nothing to kill.
-                if workers[w].node.state() != SbcState::Executing {
-                    continue;
-                }
-                faults_injected += 1;
-                observer.emit(
-                    now,
-                    TraceEvent::FaultInjected {
-                        worker: w,
-                        fault: FaultKind::Crash.label(),
-                    },
-                );
-                if let Some(pending) = workers[w].pending.take() {
-                    queue.cancel(pending);
-                }
-                // The invocation is re-queued at the front, keeping its
-                // original arrival time so the latency metrics absorb
-                // the full recovery cost.
-                if let Some((job, _, _)) = workers[w].current.take() {
-                    if let Some(a) = attr.as_mut() {
-                        // The partial joules stay with the job; the
-                        // accumulator resumes when it restarts.
-                        a.interrupted(w, now, job.id);
-                    }
-                    workers[w].queue.push_front(job);
-                }
-                workers[w].node.crash(now).expect("node was executing");
-                powered_on.add(now, -1.0);
-                meter.set_power(now, channels[w], 0.0);
-                if let Some(a) = attr.as_mut() {
-                    a.set_power(w, now, 0.0);
-                }
-                observer.emit(
-                    now,
-                    TraceEvent::WorkerStateChange {
-                        worker: w,
-                        state: WorkerState::Crashed,
-                    },
-                );
-                observer.emit(
-                    now,
-                    TraceEvent::PowerSample {
-                        worker: w,
-                        watts: 0.0,
-                    },
-                );
-                queue.schedule(now + config.faults.detection_delay, Event::Recover(w));
-            }
-            Event::Recover(w) => {
-                workers[w].node.recover(now).expect("node was crashed");
-                powered_on.add(now, 1.0);
-                let watts = workers[w].node.power().value();
-                meter.set_power(now, channels[w], watts);
-                if let Some(a) = attr.as_mut() {
-                    a.set_power(w, now, watts);
-                    a.boot_started(w, now);
-                }
-                observer.emit(
-                    now,
-                    TraceEvent::WorkerStateChange {
-                        worker: w,
-                        state: WorkerState::Booting,
-                    },
-                );
-                observer.emit(now, TraceEvent::PowerSample { worker: w, watts });
-                queue.schedule(now + workers[w].node.boot_duration(), Event::BootDone(w));
-            }
-            Event::IdleGate(w) => {
-                workers[w].gate = None;
-                // Stale gates (the node picked up work, crashed, or was
-                // already gated off) are dropped silently.
-                if workers[w].node.state() != SbcState::Idle {
-                    continue;
-                }
-                let warm_idle = if wants_census {
-                    workers
-                        .iter()
-                        .filter(|x| x.node.state() == SbcState::Idle)
-                        .count()
-                } else {
-                    0 // never read — the census scan is skipped
-                };
-                if policy.gate_on_idle_expiry(now, warm_idle) {
-                    workers[w].node.power_off(now).expect("node was idle");
-                    powered_on.add(now, -1.0);
-                    gpio.actuate(now, w, PowerAction::Off);
-                    meter.set_power(now, channels[w], 0.0);
-                    if let Some(a) = attr.as_mut() {
-                        a.set_power(w, now, 0.0);
-                    }
-                    observer.emit(
-                        now,
-                        TraceEvent::WorkerStateChange {
-                            worker: w,
-                            state: WorkerState::Off,
-                        },
-                    );
-                    observer.emit(
-                        now,
-                        TraceEvent::PowerSample {
-                            worker: w,
-                            watts: 0.0,
-                        },
-                    );
-                    observer.emit(
-                        now,
-                        TraceEvent::GovernorTransition {
-                            worker: w,
-                            action: "gate-off",
-                        },
-                    );
-                    if let (Some(metrics), Some(h)) = (observer.metrics(), sched_handles.as_ref()) {
-                        metrics.inc(h.governor_transitions);
-                    }
-                }
-            }
-            Event::Release => {
-                // One Release is scheduled per deferred job, FIFO; the
-                // job re-enters placement with no further admission
-                // check (the governor already priced the wait).
-                if let Some(job) = deferred.pop_front() {
-                    dispatch_job(
-                        job,
-                        now,
-                        config,
-                        &mut policy,
-                        cache.is_some(),
-                        sched_active,
-                        &mut views,
-                        &mut workers,
-                        &mut powered_on,
-                        &mut gpio,
-                        &mut queue,
-                        &mut meter,
-                        &channels,
-                        &mut rng,
-                        observer,
-                        &sched_handles,
-                        attr.as_mut(),
-                    );
-                }
+                backend.after_job(w, now, &mut sim);
             }
         }
     }
 
-    let end = queue.now().max(horizon);
-    let report = meter.report(end, completed);
-    let (mean_latency_s, p95_latency_s) = latencies.finish();
+    let end = sim.queue.now().max(horizon);
+    let report = sim.meter.report(end, tally.completed);
+    let (mean_latency_s, p95_latency_s) = tally.latencies.finish();
     let cache_stats = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
+    let fleet = backend.summary(end);
     let run = OpenLoopRun {
-        completed,
+        completed: tally.completed,
         mean_latency_s,
         p95_latency_s,
         mean_power_w: report.average_watts,
         joules_per_function: report.joules_per_function().unwrap_or(f64::NAN),
-        mean_powered_on: powered_on.time_average(end),
+        mean_powered_on: fleet.mean_powered_on,
         offered_per_second: arrived as f64 / config.duration.as_secs_f64(),
-        power_cycles: (0..config.workers)
-            .map(|w| gpio.power_on_count(w) as u64)
-            .sum(),
-        faults_injected,
-        tenants: tenant_tracker.summaries(),
+        power_cycles: fleet.power_cycles,
+        faults_injected: fleet.faults_injected,
+        tenants: tally.tenants.summaries(),
         cache_hits: cache_stats.hits,
         cache_misses: cache_stats.misses,
         cache_coalesced: cache_stats.coalesced,
     };
     // Gauges come from the finished run so the exposition agrees
     // bit-for-bit with the returned aggregates.
-    if let Some(metrics) = observer.metrics() {
-        meter.publish_metrics(metrics, "open", end);
+    if let Some(metrics) = sim.observer.metrics() {
+        sim.meter.publish_metrics(metrics, "open", end);
         let cycles = metrics.counter("open_power_cycles_total");
         metrics.add(cycles, run.power_cycles);
         let pairs = [
@@ -1412,649 +1157,679 @@ fn run_open_loop_core<L: LatencyAccum, S: RunSink, O: TraceObserver>(
     }
     // Settle every channel through the common end instant so the
     // ledger's integer total covers exactly the meter's window.
-    let ledger = attr.map(|a| a.finalize(end));
+    let ledger = sim.attr.map(|a| a.finalize(end));
     (run, ledger, end)
 }
 
-/// Runs the same arrival process against the conventional cluster:
-/// `vms` microVMs that are always powered (the host never drops below
-/// its 60 W idle floor). The contrast with [`run_open_loop`] is the
-/// paper's energy-proportionality argument made dynamic: at low load
-/// the conventional J/function explodes while MicroFaaS stays flat.
-///
-/// # Panics
-///
-/// Panics if `vms` is zero or the config is invalid per
-/// [`run_open_loop`].
-pub fn run_open_loop_conventional(config: &OpenLoopConfig, vms: usize) -> OpenLoopRun {
-    run_open_loop_conventional_core(
-        config,
-        vms,
-        &mut Observer::disabled(),
-        Samples::new(),
-        &mut NullSink,
-        None,
-    )
-    .0
-}
-
-/// [`run_open_loop_conventional`] on the streaming results path: O(1)
-/// latency aggregates and every completion offered to `sink` the
-/// instant it happens, exactly as [`run_open_loop_streaming`] does for
-/// the MicroFaaS cluster.
-///
-/// # Panics
-///
-/// As [`run_open_loop_conventional`].
-pub fn run_open_loop_conventional_streaming<S: RunSink>(
-    config: &OpenLoopConfig,
-    vms: usize,
-    sink: &mut S,
-) -> OpenLoopRun {
-    run_open_loop_conventional_core(
-        config,
-        vms,
-        &mut Observer::disabled(),
-        StreamingLatency::new(),
-        sink,
-        None,
-    )
-    .0
-}
-
-/// [`run_open_loop_conventional`] with the **flight recorder**
-/// attached: the same run plus a windowed [`TelemetrySeries`], so the
-/// baseline's time-resolved power floor can sit next to MicroFaaS
-/// telemetry from [`run_open_loop_monitored_streaming`]. Power samples
-/// carry the rack server's single metered channel.
-///
-/// # Panics
-///
-/// As [`run_open_loop_conventional`], plus if `telemetry` is invalid.
-pub fn run_open_loop_conventional_monitored(
-    config: &OpenLoopConfig,
-    vms: usize,
-    telemetry: &TelemetryConfig,
-) -> (OpenLoopRun, TelemetrySeries) {
-    let mut recorder = FlightRecorder::new(telemetry, &config.tenants);
-    let (events, mut tap) = recorder.taps();
-    let (run, _ledger, end) = run_open_loop_conventional_core(
-        config,
-        vms,
-        &mut TypedObserver::new(events),
-        StreamingLatency::new(),
-        &mut tap,
-        None,
-    );
-    (run, recorder.into_series(end))
-}
-
-/// [`run_open_loop_conventional`] with **energy attribution**: the
-/// host's single metered channel is split equally among the VMs'
-/// concurrently executing jobs at every instant, and the (dominant)
-/// idle-floor remainder is apportioned per `idle_policy`. The
-/// conventional model has no per-job boot window the attributor can
-/// see — VM reboot energy lands on whatever else is running, or on the
-/// idle pool — so the `boot_j` column is always zero here. Budgets
-/// never apply: this simulator ignores [`OpenLoopConfig::governor`].
-///
-/// # Panics
-///
-/// As [`run_open_loop_conventional`].
-pub fn run_open_loop_conventional_attributed(
-    config: &OpenLoopConfig,
-    vms: usize,
-    idle_policy: IdlePolicy,
-) -> (OpenLoopRun, EnergyLedger) {
-    let (run, ledger, _end) = run_open_loop_conventional_core(
-        config,
-        vms,
-        &mut Observer::disabled(),
-        Samples::new(),
-        &mut NullSink,
-        Some(make_attributor(config, idle_policy)),
-    );
-    (run, ledger.expect("attributor was supplied"))
-}
-
-fn run_open_loop_conventional_core<L: LatencyAccum, S: RunSink, O: TraceObserver>(
-    config: &OpenLoopConfig,
-    vms: usize,
-    observer: &mut O,
-    mut latencies: L,
-    sink: &mut S,
-    mut attr: Option<Attributor>,
-) -> (OpenLoopRun, Option<EnergyLedger>, SimTime) {
-    assert!(vms > 0, "cluster needs at least one VM");
-    assert!(!config.functions.is_empty(), "need at least one function");
-    config.arrival.validate();
-    let picker = FunctionPicker::new(&config.popularity, config.functions.len());
-    let mut tenant_tracker = TenantTracker::new(&config.tenants);
-    let mut arrival_state = ArrivalState::default();
-
-    let mut rng = Rng::new(config.seed);
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    let mut meter = EnergyMeter::new(SimTime::ZERO);
-    let mut server = microfaas_hw::RackServer::new(vms, SimTime::ZERO);
-    let host = meter.add_channel("rack-server");
-    meter.set_power(SimTime::ZERO, host, server.power().value());
-    if let Some(a) = attr.as_mut() {
-        // One attribution channel for the whole host: concurrent jobs
-        // split its draw equally instant by instant.
-        a.add_channel();
-        a.set_power(0, SimTime::ZERO, server.power().value());
-    }
-    // The host's one metered channel reports as worker 0; the idle
-    // floor draws from the first instant.
-    observer.emit(
-        SimTime::ZERO,
-        TraceEvent::PowerSample {
-            worker: 0,
-            watts: server.power().value(),
-        },
-    );
-
-    let mut queues: Vec<VecDeque<QueuedJob>> = vec![VecDeque::new(); vms];
-    let mut current: Vec<Option<(QueuedJob, SimDuration, SimTime)>> = vec![None; vms];
-    let mut completed: u64 = 0;
-    let mut arrived: u64 = 0;
-    let horizon = SimTime::ZERO + config.duration;
-
-    // Same cache discipline as the MicroFaaS loop: `Off` means no extra
-    // draws and dead branches; hits complete at arrival, followers at
-    // their leader's commit.
-    config.cache.try_validate().expect("invalid cache config");
-    let mut cache: Option<ResultCache<()>> = ResultCache::from_config(&config.cache);
-    let mut coalesce: CoalesceTable<QueuedJob> = CoalesceTable::new();
-    let input_variants = config.cache.input_variants() as usize;
-
-    queue.schedule(SimTime::ZERO, Event::Arrival);
-    while let Some((now, event)) = queue.pop() {
-        match event {
-            Event::Arrival => {
-                if now >= horizon {
-                    continue;
-                }
-                for _ in 0..config.arrival.batch() {
-                    arrived += 1;
-                    let function = config.functions[picker.pick(&mut rng)];
-                    let mut job = QueuedJob {
-                        id: arrived,
-                        function,
-                        arrived: now,
-                        tenant: tenant_tracker.draw(&mut rng),
-                        key: 0,
-                        throttle: 1.0,
-                    };
-                    observer.emit(
-                        now,
-                        TraceEvent::JobEnqueued {
-                            job: job.id,
-                            function: function.name(),
-                        },
-                    );
-                    if let Some(cache) = cache.as_mut() {
-                        job.key = content_key(function.index(), rng.index(input_variants) as u64);
-                        if cache.lookup(job.key, now.as_micros()).is_some() {
-                            observer.emit(
-                                now,
-                                TraceEvent::CacheHit {
-                                    job: job.id,
-                                    function: function.name(),
-                                    key: job.key,
-                                },
-                            );
-                            completed += 1;
-                            latencies.record(0.0);
-                            tenant_tracker.record(job.tenant, 0.0);
-                            if let Some(a) = attr.as_mut() {
-                                a.record_free(
-                                    usize::from(job.function.index()),
-                                    job.tenant as usize,
-                                );
-                            }
-                            sink.on_completion(&Completion {
-                                job: job.id,
-                                function: job.function,
-                                worker: 0,
-                                arrived: job.arrived,
-                                finished: now,
-                                exec: SimDuration::ZERO,
-                                tenant: job.tenant,
-                            });
-                            observer.emit(
-                                now,
-                                TraceEvent::JobCompleted {
-                                    job: job.id,
-                                    function: function.name(),
-                                    worker: 0,
-                                    exec: SimDuration::ZERO,
-                                    overhead: SimDuration::ZERO,
-                                },
-                            );
-                            continue;
-                        }
-                        if !coalesce.try_lead(job.key, job.id) {
-                            cache.note_coalesced();
-                            let leader = coalesce.leader(job.key).expect("key in flight");
-                            observer.emit(
-                                now,
-                                TraceEvent::Coalesced {
-                                    job: job.id,
-                                    leader,
-                                    function: function.name(),
-                                },
-                            );
-                            coalesce.follow(job.key, job);
-                            continue;
-                        }
-                        observer.emit(
-                            now,
-                            TraceEvent::CacheMiss {
-                                job: job.id,
-                                function: function.name(),
-                                key: job.key,
-                            },
-                        );
-                    }
-                    // Pick the emptiest VM (work-conserving enough for a
-                    // fair comparison; the scheduler study lives on the
-                    // MicroFaaS side).
-                    let v = (0..vms)
-                        .min_by_key(|&v| queues[v].len() + usize::from(current[v].is_some()))
-                        .expect("at least one vm");
-                    queues[v].push_back(job);
-                    if current[v].is_none() && server.vm(v).state() == microfaas_hw::VmState::Idle {
-                        let job = queues[v].pop_front().expect("just pushed");
-                        vm_start_job(
-                            v,
-                            job,
-                            now,
-                            config,
-                            &mut server,
-                            &mut current,
-                            &mut meter,
-                            host,
-                            &mut queue,
-                            &mut rng,
-                            observer,
-                            attr.as_mut(),
-                        );
-                    }
-                }
-                let gap = config.arrival.next_gap(now, &mut rng, &mut arrival_state);
-                queue.schedule(now + gap, Event::Arrival);
-            }
-            Event::ExecDone(v) => {
-                let (job, _exec, _started) = current[v].expect("job in flight");
-                if let Some(a) = attr.as_mut() {
-                    a.response_started(0, now, job.id);
-                }
-                observer.emit(
-                    now,
-                    TraceEvent::ResponseSent {
-                        job: job.id,
-                        function: job.function.name(),
-                        worker: v,
-                    },
-                );
-                let overhead = service_time(job.function)
-                    .overhead(WorkerPlatform::X86Vm)
-                    .mul_f64(config.jitter.factor(&mut rng));
-                queue.schedule(now + overhead, Event::JobDone(v));
-            }
-            Event::JobDone(v) => {
-                let (job, exec, started) = current[v].take().expect("job in flight");
-                if let Some(a) = attr.as_mut() {
-                    a.job_finished(0, now, job.id);
-                }
-                completed += 1;
-                let latency_s = now.duration_since(job.arrived).as_secs_f64();
-                latencies.record(latency_s);
-                tenant_tracker.record(job.tenant, latency_s);
-                sink.on_completion(&Completion {
-                    job: job.id,
-                    function: job.function,
-                    worker: v,
-                    arrived: job.arrived,
-                    finished: now,
-                    exec,
-                    tenant: job.tenant,
-                });
-                observer.emit(
-                    now,
-                    TraceEvent::JobCompleted {
-                        job: job.id,
-                        function: job.function.name(),
-                        worker: v,
-                        exec,
-                        overhead: now.duration_since(started + exec),
-                    },
-                );
-                if let Some(cache) = cache.as_mut() {
-                    cache.insert(job.key, (), now.as_micros());
-                    for follower in coalesce.complete(job.key) {
-                        completed += 1;
-                        let wait_s = now.duration_since(follower.arrived).as_secs_f64();
-                        latencies.record(wait_s);
-                        tenant_tracker.record(follower.tenant, wait_s);
-                        if let Some(a) = attr.as_mut() {
-                            a.record_free(
-                                usize::from(follower.function.index()),
-                                follower.tenant as usize,
-                            );
-                        }
-                        sink.on_completion(&Completion {
-                            job: follower.id,
-                            function: follower.function,
-                            worker: v,
-                            arrived: follower.arrived,
-                            finished: now,
-                            exec: SimDuration::ZERO,
-                            tenant: follower.tenant,
-                        });
-                        observer.emit(
-                            now,
-                            TraceEvent::JobCompleted {
-                                job: follower.id,
-                                function: follower.function.name(),
-                                worker: v,
-                                exec: SimDuration::ZERO,
-                                overhead: SimDuration::ZERO,
-                            },
-                        );
-                    }
-                }
-                server.finish_job(v, now).expect("vm was executing");
-                let watts = server.power().value();
-                meter.set_power(now, host, watts);
-                if let Some(a) = attr.as_mut() {
-                    a.set_power(0, now, watts);
-                }
-                observer.emit(
-                    now,
-                    TraceEvent::WorkerStateChange {
-                        worker: v,
-                        state: WorkerState::Rebooting,
-                    },
-                );
-                observer.emit(now, TraceEvent::PowerSample { worker: 0, watts });
-                // Between-jobs reboot, then take the next job if queued.
-                queue.schedule(
-                    now + server.vm_boot_duration().mul_f64(server.current_slowdown()),
-                    Event::BootDone(v),
-                );
-            }
-            Event::BootDone(v) => {
-                server.reboot_complete(v, now).expect("vm was rebooting");
-                let watts = server.power().value();
-                meter.set_power(now, host, watts);
-                if let Some(a) = attr.as_mut() {
-                    a.set_power(0, now, watts);
-                }
-                observer.emit(
-                    now,
-                    TraceEvent::WorkerStateChange {
-                        worker: v,
-                        state: WorkerState::Idle,
-                    },
-                );
-                observer.emit(now, TraceEvent::PowerSample { worker: 0, watts });
-                if let Some(job) = queues[v].pop_front() {
-                    vm_start_job(
-                        v,
-                        job,
-                        now,
-                        config,
-                        &mut server,
-                        &mut current,
-                        &mut meter,
-                        host,
-                        &mut queue,
-                        &mut rng,
-                        observer,
-                        attr.as_mut(),
-                    );
-                }
-            }
-            Event::PowerEffective(_) => unreachable!("VMs never power-cycle"),
-            Event::IdleGate(_) => unreachable!("governors do not gate VMs"),
-            Event::Release => unreachable!("budgets do not gate the conventional loop"),
-            Event::Crash(_) | Event::Recover(_) => {
-                unreachable!("fault plans are ignored on the conventional open loop")
-            }
-        }
-    }
-
-    let end = queue.now().max(horizon);
-    let report = meter.report(end, completed);
-    let (mean_latency_s, p95_latency_s) = latencies.finish();
-    let cache_stats = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
-    let run = OpenLoopRun {
-        completed,
-        mean_latency_s,
-        p95_latency_s,
-        mean_power_w: report.average_watts,
-        joules_per_function: report.joules_per_function().unwrap_or(f64::NAN),
-        mean_powered_on: vms as f64,
-        offered_per_second: arrived as f64 / config.duration.as_secs_f64(),
-        power_cycles: 0,
-        faults_injected: 0,
-        tenants: tenant_tracker.summaries(),
-        cache_hits: cache_stats.hits,
-        cache_misses: cache_stats.misses,
-        cache_coalesced: cache_stats.coalesced,
-    };
-    let ledger = attr.map(|a| a.finalize(end));
-    (run, ledger, end)
-}
-
-/// Starts the next invocation on an idle VM: the conventional loop's
-/// counterpart of [`begin_job`], shared by the arrival and post-reboot
-/// paths. Same RNG site and draw order as the historical inline code,
-/// so conventional runs cannot move.
-#[allow(clippy::too_many_arguments)]
-fn vm_start_job<O: TraceObserver>(
-    v: usize,
-    job: QueuedJob,
-    now: SimTime,
-    config: &OpenLoopConfig,
-    server: &mut microfaas_hw::RackServer,
-    current: &mut [Option<(QueuedJob, SimDuration, SimTime)>],
-    meter: &mut EnergyMeter,
-    host: microfaas_energy::ChannelId,
-    queue: &mut EventQueue<Event>,
-    rng: &mut Rng,
-    observer: &mut O,
-    attr: Option<&mut Attributor>,
-) {
-    server.start_job(v, now).expect("vm is idle");
-    let watts = server.power().value();
-    meter.set_power(now, host, watts);
-    if let Some(a) = attr {
-        a.set_power(0, now, watts);
-        a.job_started(
-            0,
-            now,
-            job.id,
-            usize::from(job.function.index()),
-            job.tenant as usize,
-        );
-    }
-    observer.emit(
-        now,
-        TraceEvent::JobStarted {
-            job: job.id,
-            function: job.function.name(),
-            worker: v,
-        },
-    );
-    observer.emit(
-        now,
-        TraceEvent::WorkerStateChange {
-            worker: v,
-            state: WorkerState::Executing,
-        },
-    );
-    observer.emit(now, TraceEvent::PowerSample { worker: 0, watts });
-    let exec = service_time(job.function)
-        .exec(WorkerPlatform::X86Vm)
-        .mul_f64(config.jitter.factor(rng) * server.current_slowdown());
-    current[v] = Some((job, exec, now));
-    queue.schedule(now + exec, Event::ExecDone(v));
-}
-
-/// Places one admitted job and drives the chosen worker's power state —
-/// the per-job tail of the Arrival handler, shared with the
-/// budget-deferral [`Event::Release`] path. Pure code motion from the
-/// historical Arrival arm: same RNG sites, same draw order, so the
-/// legacy goldens cannot move.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_job<O: TraceObserver>(
-    job: QueuedJob,
-    now: SimTime,
-    config: &OpenLoopConfig,
-    policy: &mut PolicyEngine,
-    cache_on: bool,
+/// The MicroFaaS cluster: power-gated SBC workers, each with its own
+/// GPIO line and meter channel, placed and governed by the scheduling
+/// subsystem, with scheduled crashes from the fault plan.
+struct SbcFleet {
+    workers: Vec<Worker>,
+    gpio: PowerController,
+    channels: Vec<ChannelId>,
+    powered_on: TimeWeighted,
+    faults_injected: u64,
+    policy: PolicyEngine,
+    /// The historical placements (RandomStatic/LeastLoaded/PowerAware)
+    /// under the default governor are the legacy surface: all
+    /// scheduling telemetry stays silent there so traces and
+    /// expositions remain byte-identical to the pre-subsystem code.
     sched_active: bool,
-    views: &mut Vec<NodeView>,
-    workers: &mut [Worker],
-    powered_on: &mut TimeWeighted,
-    gpio: &mut PowerController,
-    queue: &mut EventQueue<Event>,
-    meter: &mut EnergyMeter,
-    channels: &[microfaas_energy::ChannelId],
-    rng: &mut Rng,
-    observer: &mut O,
-    sched_handles: &Option<SchedMetrics>,
-    attr: Option<&mut Attributor>,
-) {
-    // Rate tracking for WarmPool (a no-op elsewhere).
-    policy.observe_arrival(now);
-    let w = if config.scheduler == PlacementKind::RandomStatic {
-        // O(1) placement: RandomStatic draws exactly one
-        // uniform index over the full fleet and never
-        // reads the views, so building them is pure
-        // overhead. Same RNG site, same draw —
-        // bit-identical to routing through the engine.
-        rng.index(config.workers)
-    } else {
-        views.clear();
-        views.extend(workers.iter().map(Worker::view));
-        if cache_on {
-            // Key-aware routing: CacheAffine pins hot
-            // keys to home nodes; other policies ignore
-            // the key and behave exactly as place().
-            policy.place_keyed(job.key, views, rng)
-        } else {
-            policy.place(views, rng)
-        }
-    };
-    if sched_active {
-        observer.emit(
-            now,
-            TraceEvent::PlacementDecision {
-                job: job.id,
-                worker: w,
-                policy: config.scheduler.label(),
-            },
+    sched_handles: Option<SchedMetrics>,
+    views: Vec<NodeView>,
+    /// Governors that never read the booted-idle census (every one but
+    /// WarmPool) let the drain and idle-gate paths skip their
+    /// O(workers) fleet scans.
+    wants_census: bool,
+    /// The EnergyBudget governor's admission loop; every other governor
+    /// answers `false` and the budget branches are dead.
+    budget_active: bool,
+    /// Jobs parked by a [`BudgetDecision::Defer`], released FIFO by
+    /// [`SbcEvent::Release`].
+    deferred: VecDeque<QueuedJob>,
+}
+
+impl SbcFleet {
+    fn new<O: TraceObserver>(sim: &mut Sim<'_, SbcEvent, O>) -> Self {
+        let config = sim.config;
+        assert!(config.workers > 0, "cluster needs at least one worker");
+        let policy = PolicyEngine::new(config.scheduler, config.governor, config.seed);
+        let legacy_placement = matches!(
+            config.scheduler,
+            PlacementKind::RandomStatic | PlacementKind::LeastLoaded | PlacementKind::PowerAware
         );
-        if let (Some(metrics), Some(h)) = (observer.metrics(), sched_handles.as_ref()) {
-            metrics.inc(h.placements);
+        let sched_active = !(legacy_placement && config.governor == GovernorKind::RebootPerJob);
+        let sched_handles = if sched_active {
+            sim.observer.metrics().map(SchedMetrics::register)
+        } else {
+            None
+        };
+        let channels = (0..config.workers)
+            .map(|w| sim.meter.add_channel(format!("sbc-{w}")))
+            .collect();
+        if let Some(a) = sim.attr.as_mut() {
+            // Attribution channels mirror the meter's: index == worker.
+            for _ in 0..config.workers {
+                a.add_channel();
+            }
+        }
+        let budget_active = policy.budget_active();
+        debug_assert!(
+            !budget_active || sim.attr.is_some(),
+            "budget charging requires per-job attribution"
+        );
+        let injector = microfaas_sim::faults::FaultInjector::new(&config.faults.plan);
+        for &(at, w) in injector.scheduled_crashes() {
+            if w < config.workers {
+                sim.schedule(at, SbcEvent::Crash(w));
+            }
+        }
+        SbcFleet {
+            workers: (0..config.workers)
+                .map(|w| Worker {
+                    node: SbcNode::new(w, SimTime::ZERO),
+                    queue: VecDeque::new(),
+                    waking: false,
+                    current: None,
+                    pending: None,
+                    gate: None,
+                })
+                .collect(),
+            gpio: PowerController::new(config.workers),
+            channels,
+            powered_on: TimeWeighted::new(SimTime::ZERO, 0.0),
+            faults_injected: 0,
+            sched_active,
+            sched_handles,
+            views: Vec::with_capacity(config.workers),
+            wants_census: policy.wants_idle_census(),
+            budget_active,
+            deferred: VecDeque::new(),
+            policy,
         }
     }
-    workers[w].queue.push_back(job);
-    match workers[w].node.state() {
-        SbcState::Off if !workers[w].waking => {
-            if let (Some(metrics), Some(h)) = (observer.metrics(), sched_handles.as_ref()) {
-                metrics.inc(h.cold_boots);
+
+    fn channel(&self, w: usize) -> NodeChannel {
+        NodeChannel {
+            meter: self.channels[w],
+            attr: w,
+            worker: w,
+        }
+    }
+
+    /// Meters worker `w`'s draw in its node's current state and reports
+    /// `state`.
+    fn meter<O: TraceObserver>(
+        &self,
+        w: usize,
+        now: SimTime,
+        state: WorkerState,
+        sim: &mut Sim<'_, SbcEvent, O>,
+    ) {
+        let watts = self.workers[w].node.power().value();
+        sim.set_power(now, self.channel(w), state, watts);
+    }
+
+    /// Counts one scheduling-subsystem event, when metrics are on.
+    fn count<O: TraceObserver>(
+        &self,
+        sim: &mut Sim<'_, SbcEvent, O>,
+        counter: fn(&SchedMetrics) -> CounterId,
+    ) {
+        if let (Some(metrics), Some(h)) = (sim.observer.metrics(), self.sched_handles.as_ref()) {
+            metrics.inc(counter(h));
+        }
+    }
+
+    fn governor_transition<O: TraceObserver>(
+        &self,
+        w: usize,
+        now: SimTime,
+        action: &'static str,
+        sim: &mut Sim<'_, SbcEvent, O>,
+    ) {
+        sim.observer
+            .emit(now, TraceEvent::GovernorTransition { worker: w, action });
+        self.count(sim, |h| h.governor_transitions);
+    }
+
+    /// Presses worker `w`'s GPIO power button.
+    fn wake<O: TraceObserver>(
+        &mut self,
+        w: usize,
+        now: SimTime,
+        reason: &'static str,
+        sim: &mut Sim<'_, SbcEvent, O>,
+    ) {
+        self.workers[w].waking = true;
+        self.powered_on.add(now, 1.0);
+        sim.observer
+            .emit(now, TraceEvent::WakeRequested { worker: w, reason });
+        let effective = self.gpio.actuate(now, w, PowerAction::On);
+        sim.schedule(effective, SbcEvent::PowerEffective(w));
+    }
+
+    /// Worker `w`'s node has just begun booting: start the attributor's
+    /// boot window and schedule the boot's end.
+    fn boot<O: TraceObserver>(&self, w: usize, now: SimTime, sim: &mut Sim<'_, SbcEvent, O>) {
+        if let Some(a) = sim.attr.as_mut() {
+            a.boot_started(w, now);
+        }
+        let done = now + self.workers[w].node.boot_duration();
+        sim.schedule(done, SbcEvent::BootDone(w));
+    }
+
+    /// Worker `w`'s node has just powered down: cut its GPIO line and
+    /// its draw.
+    fn gate_off<O: TraceObserver>(
+        &mut self,
+        w: usize,
+        now: SimTime,
+        sim: &mut Sim<'_, SbcEvent, O>,
+    ) {
+        self.powered_on.add(now, -1.0);
+        self.gpio.actuate(now, w, PowerAction::Off);
+        self.meter(w, now, WorkerState::Off, sim);
+    }
+
+    /// How many workers sit booted-idle, when the governor reads it.
+    fn idle_census(&self) -> usize {
+        if self.wants_census {
+            self.workers
+                .iter()
+                .filter(|x| x.node.state() == SbcState::Idle)
+                .count()
+        } else {
+            0 // never read — the census scan is skipped
+        }
+    }
+
+    /// Places one admitted job and drives the chosen worker's power
+    /// state; shared by arrivals and the budget-deferral release.
+    fn place<O: TraceObserver>(
+        &mut self,
+        job: QueuedJob,
+        now: SimTime,
+        sim: &mut Sim<'_, SbcEvent, O>,
+    ) {
+        let config = sim.config;
+        // Rate tracking for WarmPool (a no-op elsewhere).
+        self.policy.observe_arrival(now);
+        let w = if config.scheduler == PlacementKind::RandomStatic {
+            // O(1) placement: RandomStatic draws exactly one uniform
+            // index over the full fleet and never reads the views, so
+            // building them is pure overhead. Same RNG site, same draw
+            // — bit-identical to routing through the engine.
+            sim.rng.index(config.workers)
+        } else {
+            self.views.clear();
+            self.views.extend(self.workers.iter().map(Worker::view));
+            if config.cache.enabled() {
+                // Key-aware routing: CacheAffine pins hot keys to home
+                // nodes; other policies ignore the key and behave
+                // exactly as place().
+                self.policy.place_keyed(job.key, &self.views, &mut sim.rng)
+            } else {
+                self.policy.place(&self.views, &mut sim.rng)
             }
-            workers[w].waking = true;
-            powered_on.add(now, 1.0);
-            observer.emit(
+        };
+        if self.sched_active {
+            sim.observer.emit(
                 now,
-                TraceEvent::WakeRequested {
+                TraceEvent::PlacementDecision {
+                    job: job.id,
                     worker: w,
-                    reason: "dispatch",
+                    policy: config.scheduler.label(),
                 },
             );
-            let effective = gpio.actuate(now, w, PowerAction::On);
-            queue.schedule(effective, Event::PowerEffective(w));
+            self.count(sim, |h| h.placements);
         }
-        SbcState::Idle => {
-            // A warm (standby) node absorbs the arrival
-            // with no boot in front of it.
-            if let (Some(metrics), Some(h)) = (observer.metrics(), sched_handles.as_ref()) {
-                metrics.inc(h.warm_hits);
+        self.workers[w].queue.push_back(job);
+        match self.workers[w].node.state() {
+            SbcState::Off if !self.workers[w].waking => {
+                self.count(sim, |h| h.cold_boots);
+                self.wake(w, now, "dispatch", sim);
             }
-            begin_job(
-                w, now, config, workers, queue, meter, channels, rng, observer, attr,
-            );
+            SbcState::Idle => {
+                // A warm (standby) node absorbs the arrival with no
+                // boot in front of it.
+                self.count(sim, |h| h.warm_hits);
+                self.begin_job(w, now, sim);
+            }
+            _ => {}
         }
-        _ => {}
+    }
+
+    fn begin_job<O: TraceObserver>(
+        &mut self,
+        w: usize,
+        now: SimTime,
+        sim: &mut Sim<'_, SbcEvent, O>,
+    ) {
+        if let Some(gate) = self.workers[w].gate.take() {
+            sim.queue.cancel(gate);
+        }
+        // A node is only woken or rebooted when its queue holds work,
+        // and nothing else can drain that queue first.
+        let job = self.workers[w]
+            .queue
+            .pop_front()
+            .expect("a worker reaches idle only with queued work");
+        self.workers[w].node.start_job(now).expect("node is idle");
+        let watts = self.workers[w].node.power().value();
+        // The throttle multiplier is 1.0 on every non-budget path, and
+        // x * 1.0 == x exactly in IEEE-754 — legacy runs cannot move by
+        // a ULP.
+        let run = sim.start_job(
+            now,
+            self.channel(w),
+            job,
+            watts,
+            WorkerPlatform::ArmSbc,
+            job.throttle,
+        );
+        self.workers[w].current = Some(run);
+        self.workers[w].pending = Some(sim.schedule(now + run.exec, SbcEvent::ExecDone(w)));
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn begin_job<O: TraceObserver>(
-    w: usize,
-    now: SimTime,
-    config: &OpenLoopConfig,
-    workers: &mut [Worker],
-    queue: &mut EventQueue<Event>,
-    meter: &mut EnergyMeter,
-    channels: &[microfaas_energy::ChannelId],
-    rng: &mut Rng,
-    observer: &mut O,
-    attr: Option<&mut Attributor>,
-) {
-    if let Some(gate) = workers[w].gate.take() {
-        queue.cancel(gate);
+impl Backend for SbcFleet {
+    type Event = SbcEvent;
+
+    fn dispatch<O: TraceObserver>(
+        &mut self,
+        mut job: QueuedJob,
+        now: SimTime,
+        sim: &mut Sim<'_, SbcEvent, O>,
+    ) -> bool {
+        if self.budget_active {
+            // Admission control at the orchestration plane's front
+            // door: the tenant's token bucket decides whether this
+            // invocation runs, waits, or runs slowly. Cache hits bypass
+            // it — a served result costs no joules.
+            let decision = self.policy.budget_admit(job.tenant, now);
+            let action = match decision {
+                BudgetDecision::Admit => None,
+                BudgetDecision::Shed => Some("shed"),
+                BudgetDecision::Defer(_) => Some("defer"),
+                BudgetDecision::Throttle(_) => Some("throttle"),
+            };
+            if let Some(action) = action {
+                let tenant = job.tenant;
+                sim.observer
+                    .emit(now, TraceEvent::BudgetAction { tenant, action });
+            }
+            match decision {
+                BudgetDecision::Admit => {}
+                BudgetDecision::Shed => return false,
+                BudgetDecision::Defer(delay) => {
+                    // Coalesce leadership (if any) stays with the
+                    // deferred job; followers drain when it eventually
+                    // completes.
+                    self.deferred.push_back(job);
+                    sim.schedule(now + delay, SbcEvent::Release);
+                    return true;
+                }
+                BudgetDecision::Throttle(factor) => job.throttle = factor,
+            }
+        }
+        self.place(job, now, sim);
+        true
     }
-    match workers[w].queue.pop_front() {
-        Some(job) => {
-            workers[w].node.start_job(now).expect("node is idle");
-            let watts = workers[w].node.power().value();
-            meter.set_power(now, channels[w], watts);
-            if let Some(a) = attr {
-                a.set_power(w, now, watts);
-                a.job_started(
-                    w,
+
+    /// WarmPool prewarm: wake gated-off nodes until the booted reserve
+    /// matches the governor's target. Zero for every other governor, so
+    /// the legacy paths never enter.
+    fn after_arrivals<O: TraceObserver>(&mut self, now: SimTime, sim: &mut Sim<'_, SbcEvent, O>) {
+        let target = self.policy.warm_target(self.workers.len());
+        if target == 0 {
+            return;
+        }
+        let mut powered = self.workers.iter().filter(|x| x.is_powered()).count();
+        for w in 0..self.workers.len() {
+            if powered >= target {
+                break;
+            }
+            if !self.workers[w].is_powered() {
+                powered += 1;
+                self.wake(w, now, "prewarm", sim);
+                self.governor_transition(w, now, "prewarm", sim);
+            }
+        }
+    }
+
+    fn on_event<O: TraceObserver>(
+        &mut self,
+        event: SbcEvent,
+        now: SimTime,
+        sim: &mut Sim<'_, SbcEvent, O>,
+    ) -> Option<(usize, InFlight)> {
+        match event {
+            SbcEvent::PowerEffective(w) => {
+                self.workers[w].waking = false;
+                self.workers[w].node.power_on(now).expect("was off");
+                self.meter(w, now, WorkerState::Booting, sim);
+                self.boot(w, now, sim);
+            }
+            SbcEvent::BootDone(w) => {
+                self.workers[w]
+                    .node
+                    .boot_complete(now)
+                    .expect("was booting");
+                self.meter(w, now, WorkerState::Idle, sim);
+                if let Some(a) = sim.attr.as_mut() {
+                    a.boot_done(w, now);
+                }
+                // Only a prewarmed node boots to an empty queue (the
+                // legacy policies wake a node exclusively for queued
+                // work): it joins the warm reserve and idles.
+                if !self.workers[w].queue.is_empty() {
+                    self.begin_job(w, now, sim);
+                }
+            }
+            SbcEvent::ExecDone(w) => {
+                let job = self.workers[w].current.expect("job in flight").job;
+                let done = sim.send_response(now, self.channel(w), &job, WorkerPlatform::ArmSbc);
+                self.workers[w].pending = Some(sim.schedule(done, SbcEvent::JobDone(w)));
+            }
+            SbcEvent::JobDone(w) => {
+                self.workers[w].pending = None;
+                let run = self.workers[w].current.take().expect("job in flight");
+                // Settle the job's joule vector before any power change,
+                // then charge its tenant's budget with the exact figure
+                // (picojoules → joules).
+                let job_pj = sim
+                    .attr
+                    .as_mut()
+                    .map(|a| a.job_finished(w, now, run.job.id));
+                if self.budget_active {
+                    let pj = job_pj.expect("budget runs carry an attributor");
+                    let tenant = run.job.tenant;
+                    if self
+                        .policy
+                        .budget_note_energy(tenant, pj as f64 / 1e12, now)
+                    {
+                        sim.observer.emit(now, TraceEvent::BudgetBreach { tenant });
+                    }
+                }
+                return Some((w, run));
+            }
+            SbcEvent::Crash(w) => {
+                // A crash only lands on a node that is actually running
+                // an invocation; a gated-off node has nothing to kill.
+                if self.workers[w].node.state() != SbcState::Executing {
+                    return None;
+                }
+                self.faults_injected += 1;
+                sim.observer.emit(
                     now,
-                    job.id,
-                    usize::from(job.function.index()),
-                    job.tenant as usize,
+                    TraceEvent::FaultInjected {
+                        worker: w,
+                        fault: FaultKind::Crash.label(),
+                    },
+                );
+                if let Some(pending) = self.workers[w].pending.take() {
+                    sim.queue.cancel(pending);
+                }
+                // The invocation is re-queued at the front, keeping its
+                // original arrival time so the latency metrics absorb
+                // the full recovery cost.
+                if let Some(run) = self.workers[w].current.take() {
+                    if let Some(a) = sim.attr.as_mut() {
+                        // The partial joules stay with the job; the
+                        // accumulator resumes when it restarts.
+                        a.interrupted(w, now, run.job.id);
+                    }
+                    self.workers[w].queue.push_front(run.job);
+                }
+                self.workers[w].node.crash(now).expect("node was executing");
+                self.powered_on.add(now, -1.0);
+                self.meter(w, now, WorkerState::Crashed, sim);
+                sim.schedule(
+                    now + sim.config.faults.detection_delay,
+                    SbcEvent::Recover(w),
                 );
             }
-            observer.emit(
-                now,
-                TraceEvent::JobStarted {
-                    job: job.id,
-                    function: job.function.name(),
-                    worker: w,
-                },
-            );
-            observer.emit(
-                now,
-                TraceEvent::WorkerStateChange {
-                    worker: w,
-                    state: WorkerState::Executing,
-                },
-            );
-            observer.emit(now, TraceEvent::PowerSample { worker: w, watts });
-            // The throttle multiplier is 1.0 on every non-budget path,
-            // and x * 1.0 == x exactly in IEEE-754 — legacy runs cannot
-            // move by a ULP.
-            let exec = service_time(job.function)
-                .exec(WorkerPlatform::ArmSbc)
-                .mul_f64(config.jitter.factor(rng) * job.throttle);
-            workers[w].current = Some((job, exec, now));
-            workers[w].pending = Some(queue.schedule(now + exec, Event::ExecDone(w)));
+            SbcEvent::Recover(w) => {
+                self.workers[w].node.recover(now).expect("node was crashed");
+                self.powered_on.add(now, 1.0);
+                self.meter(w, now, WorkerState::Booting, sim);
+                self.boot(w, now, sim);
+            }
+            SbcEvent::IdleGate(w) => {
+                self.workers[w].gate = None;
+                // Stale gates (the node picked up work, crashed, or was
+                // already gated off) are dropped silently.
+                if self.workers[w].node.state() == SbcState::Idle
+                    && self.policy.gate_on_idle_expiry(now, self.idle_census())
+                {
+                    self.workers[w].node.power_off(now).expect("node was idle");
+                    self.gate_off(w, now, sim);
+                    self.governor_transition(w, now, "gate-off", sim);
+                }
+            }
+            SbcEvent::Release => {
+                // One Release is scheduled per deferred job, FIFO; the
+                // job re-enters placement with no further admission
+                // check (the governor already priced the wait).
+                if let Some(job) = self.deferred.pop_front() {
+                    self.place(job, now, sim);
+                }
+            }
         }
-        None => {
-            // A node is only woken or rebooted when its queue holds work,
-            // and nothing else can drain that queue first.
-            unreachable!("worker {w} reached idle with an empty queue at {now}");
+        None
+    }
+
+    fn after_job<O: TraceObserver>(
+        &mut self,
+        w: usize,
+        now: SimTime,
+        sim: &mut Sim<'_, SbcEvent, O>,
+    ) {
+        if self.workers[w].queue.is_empty() {
+            // Queue drained: the governor picks the power regime.
+            // RebootPerJob (the default) always answers PowerOff,
+            // keeping the legacy gate-off path byte-identical.
+            match self.policy.on_drain(now, 1 + self.idle_census()) {
+                DrainAction::PowerOff => {
+                    let node = &mut self.workers[w].node;
+                    node.finish_job_and_power_off(now).expect("was executing");
+                    self.gate_off(w, now, sim);
+                }
+                DrainAction::Standby { idle_timeout } => {
+                    // Hold the node booted-idle at standby draw so the
+                    // next arrival skips the boot window.
+                    let node = &mut self.workers[w].node;
+                    node.finish_job_and_standby(now).expect("was executing");
+                    self.meter(w, now, WorkerState::Idle, sim);
+                    self.governor_transition(w, now, "standby", sim);
+                    if let Some(window) = idle_timeout {
+                        self.workers[w].gate =
+                            Some(sim.schedule(now + window, SbcEvent::IdleGate(w)));
+                    }
+                }
+            }
+        } else if self.policy.reboot_between_jobs(true) {
+            self.count(sim, |h| h.cold_boots);
+            let node = &mut self.workers[w].node;
+            node.finish_job_and_reboot(now).expect("was executing");
+            self.meter(w, now, WorkerState::Rebooting, sim);
+            self.boot(w, now, sim);
+        } else {
+            // Warm continuation: skip the between-jobs reboot and start
+            // the next queued job immediately.
+            self.count(sim, |h| h.warm_hits);
+            let node = &mut self.workers[w].node;
+            node.finish_job_and_standby(now).expect("was executing");
+            self.begin_job(w, now, sim);
+        }
+    }
+
+    fn summary(&self, end: SimTime) -> FleetSummary {
+        FleetSummary {
+            mean_powered_on: self.powered_on.time_average(end),
+            power_cycles: (0..self.workers.len())
+                .map(|w| self.gpio.power_on_count(w) as u64)
+                .sum(),
+            faults_injected: self.faults_injected,
+        }
+    }
+}
+
+/// The conventional baseline: one always-on rack server hosting `vms`
+/// microVMs on a single metered channel. Jobs go to the emptiest VM and
+/// every VM reboots between jobs; governors, budgets and fault plans do
+/// not apply.
+struct VmRack {
+    server: RackServer,
+    host: ChannelId,
+    queues: Vec<VecDeque<QueuedJob>>,
+    current: Vec<Option<InFlight>>,
+}
+
+impl VmRack {
+    fn new<O: TraceObserver>(vms: usize, sim: &mut Sim<'_, VmEvent, O>) -> Self {
+        assert!(vms > 0, "cluster needs at least one VM");
+        let server = RackServer::new(vms, SimTime::ZERO);
+        let host = sim.meter.add_channel("rack-server");
+        let watts = server.power().value();
+        sim.meter.set_power(SimTime::ZERO, host, watts);
+        if let Some(a) = sim.attr.as_mut() {
+            // One attribution channel for the whole host: concurrent
+            // jobs split its draw equally instant by instant.
+            a.add_channel();
+            a.set_power(0, SimTime::ZERO, watts);
+        }
+        // The host's one metered channel reports as worker 0; the idle
+        // floor draws from the first instant.
+        sim.observer
+            .emit(SimTime::ZERO, TraceEvent::PowerSample { worker: 0, watts });
+        VmRack {
+            server,
+            host,
+            queues: vec![VecDeque::new(); vms],
+            current: vec![None; vms],
+        }
+    }
+
+    fn channel(&self, v: usize) -> NodeChannel {
+        NodeChannel {
+            meter: self.host,
+            attr: 0,
+            worker: v,
+        }
+    }
+
+    fn meter<O: TraceObserver>(
+        &self,
+        v: usize,
+        now: SimTime,
+        state: WorkerState,
+        sim: &mut Sim<'_, VmEvent, O>,
+    ) {
+        sim.set_power(now, self.channel(v), state, self.server.power().value());
+    }
+
+    /// Starts `job` on idle VM `v`.
+    fn start<O: TraceObserver>(
+        &mut self,
+        v: usize,
+        job: QueuedJob,
+        now: SimTime,
+        sim: &mut Sim<'_, VmEvent, O>,
+    ) {
+        self.server.start_job(v, now).expect("vm is idle");
+        let watts = self.server.power().value();
+        let slowdown = self.server.current_slowdown();
+        let run = sim.start_job(
+            now,
+            self.channel(v),
+            job,
+            watts,
+            WorkerPlatform::X86Vm,
+            slowdown,
+        );
+        self.current[v] = Some(run);
+        sim.schedule(now + run.exec, VmEvent::ExecDone(v));
+    }
+}
+
+impl Backend for VmRack {
+    type Event = VmEvent;
+
+    fn dispatch<O: TraceObserver>(
+        &mut self,
+        job: QueuedJob,
+        now: SimTime,
+        sim: &mut Sim<'_, VmEvent, O>,
+    ) -> bool {
+        // Pick the emptiest VM (work-conserving enough for a fair
+        // comparison; the scheduler study lives on the MicroFaaS side).
+        let v = (0..self.queues.len())
+            .min_by_key(|&v| self.queues[v].len() + usize::from(self.current[v].is_some()))
+            .expect("at least one vm");
+        if self.current[v].is_none() && self.server.vm(v).state() == VmState::Idle {
+            self.start(v, job, now, sim);
+        } else {
+            self.queues[v].push_back(job);
+        }
+        true
+    }
+
+    fn on_event<O: TraceObserver>(
+        &mut self,
+        event: VmEvent,
+        now: SimTime,
+        sim: &mut Sim<'_, VmEvent, O>,
+    ) -> Option<(usize, InFlight)> {
+        match event {
+            VmEvent::ExecDone(v) => {
+                let job = self.current[v].expect("job in flight").job;
+                let done = sim.send_response(now, self.channel(v), &job, WorkerPlatform::X86Vm);
+                sim.schedule(done, VmEvent::JobDone(v));
+            }
+            VmEvent::JobDone(v) => {
+                let run = self.current[v].take().expect("job in flight");
+                if let Some(a) = sim.attr.as_mut() {
+                    a.job_finished(0, now, run.job.id);
+                }
+                return Some((v, run));
+            }
+            VmEvent::Rebooted(v) => {
+                self.server
+                    .reboot_complete(v, now)
+                    .expect("vm was rebooting");
+                self.meter(v, now, WorkerState::Idle, sim);
+                if let Some(job) = self.queues[v].pop_front() {
+                    self.start(v, job, now, sim);
+                }
+            }
+        }
+        None
+    }
+
+    /// The between-jobs reboot; the next queued job starts after it.
+    fn after_job<O: TraceObserver>(
+        &mut self,
+        v: usize,
+        now: SimTime,
+        sim: &mut Sim<'_, VmEvent, O>,
+    ) {
+        self.server.finish_job(v, now).expect("vm was executing");
+        self.meter(v, now, WorkerState::Rebooting, sim);
+        let reboot = self
+            .server
+            .vm_boot_duration()
+            .mul_f64(self.server.current_slowdown());
+        sim.schedule(now + reboot, VmEvent::Rebooted(v));
+    }
+
+    fn summary(&self, _end: SimTime) -> FleetSummary {
+        FleetSummary {
+            mean_powered_on: self.queues.len() as f64,
+            power_cycles: 0,
+            faults_injected: 0,
         }
     }
 }
@@ -2067,7 +1842,7 @@ mod tests {
     };
     use microfaas_sim::faults::{FaultPlan, FaultSpec, FaultTrigger};
 
-    fn config(arrival: ArrivalProcess, scheduler: SchedulerPolicy, seed: u64) -> OpenLoopConfig {
+    fn config(arrival: ArrivalProcess, scheduler: PlacementKind, seed: u64) -> OpenLoopConfig {
         OpenLoopConfig {
             workers: 10,
             seed,
@@ -2104,12 +1879,12 @@ mod tests {
         // proportionally (energy-proportional computing).
         let low = run_open_loop(&config(
             ArrivalProcess::Poisson { per_second: 0.5 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             2,
         ));
         let high = run_open_loop(&config(
             ArrivalProcess::Poisson { per_second: 2.5 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             2,
         ));
         let ratio = high.mean_power_w / low.mean_power_w;
@@ -2127,12 +1902,12 @@ mod tests {
         // load-independent because idle nodes are off.
         let low = run_open_loop(&config(
             ArrivalProcess::Poisson { per_second: 0.4 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             3,
         ));
         let high = run_open_loop(&config(
             ArrivalProcess::Poisson { per_second: 2.0 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             3,
         ));
         let drift = (high.joules_per_function / low.joules_per_function - 1.0).abs();
@@ -2149,12 +1924,12 @@ mod tests {
     fn least_loaded_cuts_latency_vs_random() {
         let random = run_open_loop(&config(
             ArrivalProcess::Poisson { per_second: 2.5 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             4,
         ));
         let least = run_open_loop(&config(
             ArrivalProcess::Poisson { per_second: 2.5 },
-            SchedulerPolicy::LeastLoaded,
+            PlacementKind::LeastLoaded,
             4,
         ));
         assert!(
@@ -2172,12 +1947,12 @@ mod tests {
         // power cycles), concentrating work on a few always-hot nodes.
         let random = run_open_loop(&config(
             ArrivalProcess::Poisson { per_second: 1.0 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             5,
         ));
         let packed = run_open_loop(&config(
             ArrivalProcess::Poisson { per_second: 1.0 },
-            SchedulerPolicy::PowerAware,
+            PlacementKind::PowerAware,
             5,
         ));
         assert!(
@@ -2192,12 +1967,12 @@ mod tests {
     fn deterministic_per_seed() {
         let a = run_open_loop(&config(
             ArrivalProcess::Poisson { per_second: 1.0 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             6,
         ));
         let b = run_open_loop(&config(
             ArrivalProcess::Poisson { per_second: 1.0 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             6,
         ));
         assert_eq!(a.completed, b.completed);
@@ -2210,7 +1985,7 @@ mod tests {
         // stop at the horizon.
         let run = run_open_loop(&config(
             ArrivalProcess::Poisson { per_second: 1.5 },
-            SchedulerPolicy::LeastLoaded,
+            PlacementKind::LeastLoaded,
             7,
         ));
         let expected = run.offered_per_second * 600.0;
@@ -2227,7 +2002,7 @@ mod tests {
         // burns enormous energy per function; MicroFaaS does not.
         let cfg_low = config(
             ArrivalProcess::Poisson { per_second: 0.3 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             9,
         );
         let micro = run_open_loop(&cfg_low);
@@ -2251,7 +2026,7 @@ mod tests {
     fn conventional_open_loop_completes_everything() {
         let cfg = config(
             ArrivalProcess::EverySecond { jobs_per_tick: 2 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             10,
         );
         let run = run_open_loop_conventional(&cfg, 6);
@@ -2267,7 +2042,7 @@ mod tests {
         // complete after recovery and the drain still finishes clean.
         let mut cfg = config(
             ArrivalProcess::Poisson { per_second: 2.0 },
-            SchedulerPolicy::LeastLoaded,
+            PlacementKind::LeastLoaded,
             12,
         );
         cfg.faults = FaultsConfig::with_plan(FaultPlan {
@@ -2301,7 +2076,7 @@ mod tests {
     fn empty_plan_changes_nothing_in_open_loop() {
         let base = config(
             ArrivalProcess::Poisson { per_second: 1.0 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             6,
         );
         let mut explicit = base.clone();
@@ -2319,7 +2094,7 @@ mod tests {
     fn zero_rate_panics() {
         run_open_loop(&config(
             ArrivalProcess::Poisson { per_second: 0.0 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             8,
         ));
     }
@@ -2331,7 +2106,7 @@ mod tests {
         // nodes warm costs energy and buys latency.
         let mut cfg = config(
             ArrivalProcess::Poisson { per_second: rate },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             seed,
         );
         cfg.governor = governor;
@@ -2494,7 +2269,7 @@ mod tests {
     fn streaming_sink_sees_every_completion_in_time_order() {
         let cfg = config(
             ArrivalProcess::Poisson { per_second: 1.5 },
-            SchedulerPolicy::LeastLoaded,
+            PlacementKind::LeastLoaded,
             17,
         );
         let mut sink = CountingSink::new();
@@ -2525,7 +2300,7 @@ mod tests {
     fn cache_turns_repeats_into_free_completions() {
         let mut cfg = config(
             ArrivalProcess::Poisson { per_second: 2.0 },
-            SchedulerPolicy::LeastLoaded,
+            PlacementKind::LeastLoaded,
             51,
         );
         cfg.popularity = Popularity::Zipf { exponent: 1.1 };
@@ -2558,7 +2333,7 @@ mod tests {
     fn cached_runs_are_deterministic_and_streaming_parity_holds() {
         let mut cfg = config(
             ArrivalProcess::Poisson { per_second: 2.0 },
-            SchedulerPolicy::CacheAffine,
+            PlacementKind::CacheAffine,
             52,
         );
         cfg.popularity = Popularity::Zipf { exponent: 1.1 };
@@ -2581,7 +2356,7 @@ mod tests {
     fn cached_streaming_sink_stays_monotonic_and_complete() {
         let mut cfg = config(
             ArrivalProcess::Poisson { per_second: 3.0 },
-            SchedulerPolicy::LeastLoaded,
+            PlacementKind::LeastLoaded,
             53,
         );
         cfg.popularity = Popularity::HotCold {
@@ -2599,7 +2374,7 @@ mod tests {
     fn conventional_open_loop_honours_the_cache() {
         let mut cfg = config(
             ArrivalProcess::Poisson { per_second: 2.0 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             54,
         );
         cfg.popularity = Popularity::Zipf { exponent: 1.1 };
@@ -2758,7 +2533,7 @@ mod tests {
     fn conventional_attribution_conserves_with_idle_floor() {
         let cfg = config(
             ArrivalProcess::Poisson { per_second: 1.0 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             65,
         );
         let (run, ledger) = run_open_loop_conventional_attributed(&cfg, 6, IdlePolicy::Equal);
@@ -2792,7 +2567,7 @@ mod tests {
         // account for every completion and the full meter energy.
         let cfg = config(
             ArrivalProcess::Poisson { per_second: 2.0 },
-            SchedulerPolicy::LeastLoaded,
+            PlacementKind::LeastLoaded,
             77,
         );
         let plain = run_open_loop(&cfg);
@@ -2869,7 +2644,7 @@ mod tests {
                 spike_duration_s: 60.0,
                 spike_per_second: 10.0,
             },
-            SchedulerPolicy::LeastLoaded,
+            PlacementKind::LeastLoaded,
             79,
         );
         let (_, a) = run_open_loop_monitored_streaming(&cfg, &TelemetryConfig::default());
@@ -2882,13 +2657,10 @@ mod tests {
     fn conventional_monitored_matches_and_carries_the_idle_floor() {
         let cfg = config(
             ArrivalProcess::Poisson { per_second: 1.0 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             80,
         );
         let plain = run_open_loop_conventional(&cfg, 6);
-        let streamed = run_open_loop_conventional_streaming(&cfg, 6, &mut NullSink);
-        assert_eq!(streamed.completed, plain.completed);
-        assert_eq!(streamed.mean_power_w, plain.mean_power_w);
         let (run, series) =
             run_open_loop_conventional_monitored(&cfg, 6, &TelemetryConfig::default());
         assert_eq!(run.completed, plain.completed);
@@ -2907,9 +2679,9 @@ mod tests {
     #[test]
     fn new_placements_complete_everything() {
         for scheduler in [
-            SchedulerPolicy::WorkConserving,
-            SchedulerPolicy::JoinShortestQueue,
-            SchedulerPolicy::WarmFirst,
+            PlacementKind::WorkConserving,
+            PlacementKind::JoinShortestQueue,
+            PlacementKind::WarmFirst,
         ] {
             let run = run_open_loop(&config(
                 ArrivalProcess::Poisson { per_second: 1.0 },

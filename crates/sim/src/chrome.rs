@@ -471,17 +471,23 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so the
-                // encoding is already valid).
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| err(*pos, "invalid utf-8"))?;
-                let c = rest.chars().next().expect("non-empty");
-                if (c as u32) < 0x20 {
+            Some(&lead) => {
+                // Consume one UTF-8 scalar, sized by its leading byte
+                // (input is a &str, so the encoding is already valid).
+                if lead < 0x20 {
                     return Err(err(*pos, "unescaped control character"));
                 }
-                out.push(c);
-                *pos += c.len_utf8();
+                let len = if lead < 0x80 {
+                    1
+                } else {
+                    lead.leading_ones() as usize
+                };
+                let scalar = bytes
+                    .get(*pos..*pos + len)
+                    .and_then(|b| std::str::from_utf8(b).ok())
+                    .ok_or_else(|| err(*pos, "invalid utf-8"))?;
+                out.push_str(scalar);
+                *pos += len;
             }
         }
     }
@@ -705,7 +711,8 @@ mod tests {
 
     #[test]
     fn parser_handles_scalars_escapes_and_nesting() {
-        let doc = r#"{"a": [1, -2.5, 1e3], "b": {"c": "x\"\nA"}, "d": null, "e": true}"#;
+        let doc =
+            r#"{"a": [1, -2.5, 1e3], "b": {"c": "x\"\nA"}, "d": null, "e": true, "f": "µs→é😀"}"#;
         let v = parse_json(doc).unwrap();
         assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 3);
         assert_eq!(
@@ -718,6 +725,7 @@ mod tests {
         );
         assert_eq!(v.get("d"), Some(&JsonValue::Null));
         assert_eq!(v.get("e"), Some(&JsonValue::Bool(true)));
+        assert_eq!(v.get("f").unwrap().as_str(), Some("µs→é😀"));
     }
 
     #[test]
@@ -730,6 +738,7 @@ mod tests {
             "nulL",
             "{}trailing",
             "{\"a\": 1e}",
+            "\"raw\ttab\"",
         ] {
             assert!(parse_json(bad).is_err(), "accepted {bad:?}");
         }
