@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use microfaas::config::WorkloadMix;
-use microfaas::experiment::{micro_replicates, vm_sweep_jobs};
+use microfaas::experiment::{micro_replicates, vm_sweep};
 use microfaas::micro::MicroFaasConfig;
 use microfaas_sim::{EventQueue, Jobs, SimDuration};
 use std::hint::black_box;
@@ -28,7 +28,7 @@ fn bench_parallel_vm_sweep(c: &mut Criterion) {
             &jobs,
             |b, &jobs| {
                 b.iter(|| {
-                    vm_sweep_jobs(
+                    vm_sweep(
                         black_box(SWEEP_POINTS),
                         black_box(INVOCATIONS),
                         SEED,

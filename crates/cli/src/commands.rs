@@ -7,9 +7,9 @@ use microfaas::cache::{CacheConfig, DEFAULT_CACHE_SPEC};
 use microfaas::config::WorkloadMix;
 use microfaas::conventional::{run_conventional_with, ConventionalConfig};
 use microfaas::experiment::{
-    compare_suites_faulted_jobs, compare_suites_jobs, conventional_replicates,
-    energy_proportionality, micro_replicates, microfaas_reference, policy_sweep_cached_jobs,
-    policy_sweep_csv, scenario_sweep_cached_jobs, scenario_sweep_csv, vm_sweep_jobs,
+    compare_suites, conventional_replicates, energy_proportionality, micro_replicates,
+    microfaas_reference, policy_sweep, policy_sweep_csv, sbc_scale_sweep, scenario_sweep,
+    scenario_sweep_csv, vm_sweep,
 };
 use microfaas::micro::{run_microfaas_with, MicroFaasConfig};
 use microfaas::openloop::{
@@ -22,7 +22,7 @@ use microfaas::{FaultsConfig, Jitter};
 use microfaas_energy::attribution::{EnergyLedger, IdlePolicy, Phase};
 use microfaas_hw::boot::{BootPlatform, BootProfile};
 use microfaas_hw::reliability::{simulate_fleet, FleetSpec};
-use microfaas_sched::{parse_budget_spec, GovernorKind, PlacementKind};
+use microfaas_sched::{parse_budget_spec, PolicyParseError};
 use microfaas_sim::faults::FaultPlan;
 use microfaas_sim::{
     evaluate_alerts, export_chrome_trace, export_counter_trace, par_map_indexed,
@@ -268,6 +268,111 @@ fn reject_conflicts(args: &Args, pairs: &[(&str, &str)]) -> Result<(), ParseArgs
     Ok(())
 }
 
+impl From<PolicyParseError> for ParseArgsError {
+    fn from(e: PolicyParseError) -> Self {
+        ParseArgsError(e.0)
+    }
+}
+
+/// A flag value that must be strictly positive (and, for floats,
+/// finite).
+trait Positive: std::str::FromStr {
+    fn is_positive(&self) -> bool;
+}
+
+impl Positive for f64 {
+    fn is_positive(&self) -> bool {
+        self.is_finite() && *self > 0.0
+    }
+}
+
+impl Positive for usize {
+    fn is_positive(&self) -> bool {
+        *self > 0
+    }
+}
+
+impl Positive for u32 {
+    fn is_positive(&self) -> bool {
+        *self > 0
+    }
+}
+
+/// Reads `--key` (or `default`) and rejects zero, negative and
+/// non-finite values with one wording: "--key must be positive".
+fn positive<T: Positive>(args: &Args, key: &str, default: T) -> Result<T, ParseArgsError> {
+    let value = args.get_or(key, default)?;
+    if value.is_positive() {
+        Ok(value)
+    } else {
+        Err(ParseArgsError(format!("--{key} must be positive")))
+    }
+}
+
+/// The one open-loop flag parser behind `openloop`, `monitor` and
+/// `energy`. It reads every open-loop flag — rate, arrivals,
+/// jobs-per-tick, policy, governor, budget, popularity, tenants,
+/// workers, seed, duration and cache — and each subcommand's
+/// `expect_only` list decides which of them it accepts. Absent flags
+/// take the paper's defaults: Poisson arrivals at 1 job/s, random
+/// placement, reboot-per-job, uniform popularity, no tenants, 10
+/// workers, seed 2022, 600 s and no cache.
+///
+/// `--arrivals` takes any generative-model spec (docs/WORKLOADS.md);
+/// `--jobs-per-tick` switches to the paper's literal fixed-batch
+/// arrivals, where batch x duration pins the exact job count (how the
+/// 10M-job capacity recipe in docs/SCALING.md is phrased), so it
+/// excludes every generative extension. `--budget` forces the
+/// energy-budget governor, so it excludes `--governor`.
+fn open_loop_config(args: &Args) -> Result<OpenLoopConfig, ParseArgsError> {
+    reject_conflicts(
+        args,
+        &[
+            ("arrivals", "jobs-per-tick"),
+            ("popularity", "jobs-per-tick"),
+            ("cache", "jobs-per-tick"),
+            ("budget", "governor"),
+        ],
+    )?;
+    let rate = positive(args, "rate", 1.0f64)?;
+    let arrival = if let Some(spec) = args.get_str("arrivals") {
+        ArrivalProcess::parse(spec).map_err(ParseArgsError)?
+    } else if args.has("jobs-per-tick") {
+        ArrivalProcess::EverySecond {
+            jobs_per_tick: positive(args, "jobs-per-tick", 0usize)?,
+        }
+    } else {
+        ArrivalProcess::Poisson { per_second: rate }
+    };
+    let governor = match args.get_str("budget") {
+        Some(spec) => parse_budget_spec(spec)?,
+        None => args
+            .get_str("governor")
+            .unwrap_or("reboot-per-job")
+            .parse()?,
+    };
+    Ok(OpenLoopConfig {
+        workers: positive(args, "workers", 10usize)?,
+        seed: args.get_or("seed", 2022u64)?,
+        duration: SimDuration::from_secs(args.get_or("duration-secs", 600u64)?),
+        arrival,
+        scheduler: args.get_str("policy").unwrap_or("random").parse()?,
+        governor,
+        jitter: Jitter::default_run_to_run(),
+        functions: FunctionId::ALL.to_vec(),
+        popularity: match args.get_str("popularity") {
+            Some(spec) => Popularity::parse(spec).map_err(ParseArgsError)?,
+            None => Popularity::Uniform,
+        },
+        tenants: match args.get_str("tenants") {
+            Some(spec) => parse_tenant_classes(spec)?,
+            None => Vec::new(),
+        },
+        faults: FaultsConfig::none(),
+        cache: cache_flag(args)?,
+    })
+}
+
 /// Whether the conditional cache-hit summary columns should print: the
 /// cache must be on *and* the run must have consulted it at least once.
 /// A cached run that recorded zero lookups prints like an uncached one
@@ -296,21 +401,11 @@ fn compare(args: &Args) -> Result<(), ParseArgsError> {
     let seed = args.get_or("seed", 2022u64)?;
     let jobs = jobs_flag(args)?;
     let plan = args.get_str("faults").map(load_plan).transpose()?;
+    let faults = plan
+        .clone()
+        .map_or_else(FaultsConfig::none, FaultsConfig::with_plan);
     let mut metrics = MetricsRegistry::new();
-    let cmp = if plan.is_some() || args.get_str("metrics-out").is_some() {
-        compare_suites_faulted_jobs(
-            invocations,
-            seed,
-            &plan
-                .clone()
-                .map(FaultsConfig::with_plan)
-                .unwrap_or_else(FaultsConfig::none),
-            &mut metrics,
-            jobs,
-        )
-    } else {
-        compare_suites_jobs(invocations, seed, jobs)
-    };
+    let cmp = compare_suites(invocations, seed, &faults, &mut metrics, jobs);
 
     let mut csv = Csv::new(&[
         "function",
@@ -393,7 +488,7 @@ fn sweep(args: &Args) -> Result<(), ParseArgsError> {
     let seed = args.get_or("seed", 2022u64)?;
     let jobs = jobs_flag(args)?;
     let reference = microfaas_reference(invocations, seed);
-    let points = vm_sweep_jobs(max_vms, invocations, seed, jobs);
+    let points = vm_sweep(max_vms, invocations, seed, jobs);
     let mut csv = Csv::new(&["vms", "func_per_min", "joules_per_function"]);
     println!(
         "(MicroFaaS reference: {:.1} f/min, {:.2} J/func)",
@@ -492,71 +587,16 @@ fn openloop(args: &Args) -> Result<(), ParseArgsError> {
         "popularity",
         "cache",
     ])?;
-    let rate = args.get_or("rate", 1.0f64)?;
-    if rate <= 0.0 {
-        return Err(ParseArgsError("--rate must be positive".to_string()));
-    }
-    let scheduler: PlacementKind = args
-        .get_str("policy")
-        .unwrap_or("random")
-        .parse()
-        .map_err(|e: microfaas_sched::PolicyParseError| ParseArgsError(e.to_string()))?;
-    let governor: GovernorKind = args
-        .get_str("governor")
-        .unwrap_or("reboot-per-job")
-        .parse()
-        .map_err(|e: microfaas_sched::PolicyParseError| ParseArgsError(e.to_string()))?;
-    // --arrivals takes any generative-model spec (docs/WORKLOADS.md);
-    // --jobs-per-tick switches to the paper's literal fixed-batch
-    // arrivals; with it, batch x duration pins the exact job count —
-    // how the 10M-job capacity recipe in docs/SCALING.md is phrased.
-    // The fixed-batch golden path excludes every generative extension
-    // uniformly: arrivals, popularity, and the result cache alike.
-    reject_conflicts(
-        args,
-        &[
-            ("arrivals", "jobs-per-tick"),
-            ("popularity", "jobs-per-tick"),
-            ("cache", "jobs-per-tick"),
-        ],
-    )?;
-    let arrival = if let Some(spec) = args.get_str("arrivals") {
-        ArrivalProcess::parse(spec).map_err(ParseArgsError)?
-    } else if args.has("jobs-per-tick") {
-        let jobs_per_tick = args.get_or("jobs-per-tick", 0usize)?;
-        if jobs_per_tick == 0 {
-            return Err(ParseArgsError(
-                "--jobs-per-tick must be positive".to_string(),
-            ));
-        }
-        ArrivalProcess::EverySecond { jobs_per_tick }
-    } else {
-        ArrivalProcess::Poisson { per_second: rate }
-    };
-    let popularity = match args.get_str("popularity") {
-        Some(spec) => Popularity::parse(spec).map_err(ParseArgsError)?,
-        None => Popularity::Uniform,
-    };
-    let config = OpenLoopConfig {
-        workers: args.get_or("workers", 10usize)?,
-        seed: args.get_or("seed", 2022u64)?,
-        duration: SimDuration::from_secs(args.get_or("duration-secs", 600u64)?),
-        arrival,
-        scheduler,
-        governor,
-        jitter: Jitter::default_run_to_run(),
-        functions: FunctionId::ALL.to_vec(),
-        popularity,
-        tenants: Vec::new(),
-        faults: FaultsConfig::none(),
-        cache: cache_flag(args)?,
-    };
+    let config = open_loop_config(args)?;
     let run = if args.has("streaming") {
         run_open_loop_streaming(&config, &mut NullSink)
     } else {
         run_open_loop(&config)
     };
-    println!("policy:           {scheduler} / {governor}");
+    println!(
+        "policy:           {} / {}",
+        config.scheduler, config.governor
+    );
     if args.has("streaming") {
         println!("results path:     streaming (O(1)-memory aggregates)");
     }
@@ -619,41 +659,9 @@ fn monitor(args: &Args) -> Result<(), ParseArgsError> {
         "perfetto",
         "jobs",
     ])?;
-    reject_conflicts(args, &[("budget", "governor")])?;
-    let rate = args.get_or("rate", 1.0f64)?;
-    if rate <= 0.0 {
-        return Err(ParseArgsError("--rate must be positive".to_string()));
-    }
-    let scheduler: PlacementKind = args
-        .get_str("policy")
-        .unwrap_or("random")
-        .parse()
-        .map_err(|e: microfaas_sched::PolicyParseError| ParseArgsError(e.to_string()))?;
-    let governor: GovernorKind = match args.get_str("budget") {
-        Some(spec) => parse_budget_spec(spec)
-            .map_err(|e: microfaas_sched::PolicyParseError| ParseArgsError(e.to_string()))?,
-        None => args
-            .get_str("governor")
-            .unwrap_or("reboot-per-job")
-            .parse()
-            .map_err(|e: microfaas_sched::PolicyParseError| ParseArgsError(e.to_string()))?,
-    };
-    let arrival = match args.get_str("arrivals") {
-        Some(spec) => ArrivalProcess::parse(spec).map_err(ParseArgsError)?,
-        None => ArrivalProcess::Poisson { per_second: rate },
-    };
-    let tenants = match args.get_str("tenants") {
-        Some(spec) => parse_tenant_classes(spec)?,
-        None => Vec::new(),
-    };
-    let window_secs = args.get_or("window-secs", 1.0f64)?;
-    if !window_secs.is_finite() || window_secs <= 0.0 {
-        return Err(ParseArgsError("--window-secs must be positive".to_string()));
-    }
-    let max_windows = args.get_or("max-windows", 4096usize)?;
-    if max_windows == 0 {
-        return Err(ParseArgsError("--max-windows must be positive".to_string()));
-    }
+    let config = open_loop_config(args)?;
+    let window_secs = positive(args, "window-secs", 1.0f64)?;
+    let max_windows = positive(args, "max-windows", 4096usize)?;
     let slo_target = args.get_or("slo-target", 0.95f64)?;
     if !(slo_target > 0.0 && slo_target < 1.0) {
         return Err(ParseArgsError(
@@ -670,21 +678,6 @@ fn monitor(args: &Args) -> Result<(), ParseArgsError> {
         ..AlertPolicy::default()
     };
     let jobs = jobs_flag(args)?;
-
-    let config = OpenLoopConfig {
-        workers: args.get_or("workers", 10usize)?,
-        seed: args.get_or("seed", 2022u64)?,
-        duration: SimDuration::from_secs(args.get_or("duration-secs", 600u64)?),
-        arrival,
-        scheduler,
-        governor,
-        jitter: Jitter::default_run_to_run(),
-        functions: FunctionId::ALL.to_vec(),
-        popularity: Popularity::Uniform,
-        tenants,
-        faults: FaultsConfig::none(),
-        cache: cache_flag(args)?,
-    };
 
     // Task 0 runs monitored, task 1 runs the plain streaming engine on
     // the same config. Both fan over --jobs and must agree exactly —
@@ -710,7 +703,10 @@ fn monitor(args: &Args) -> Result<(), ParseArgsError> {
         ));
     }
 
-    println!("policy:           {scheduler} / {governor}");
+    println!(
+        "policy:           {} / {}",
+        config.scheduler, config.governor
+    );
     println!(
         "telemetry:        {} windows x {:.3} s (dropped {}), verified inert",
         series.windows.len(),
@@ -867,48 +863,13 @@ fn energy(args: &Args) -> Result<(), ParseArgsError> {
         "metrics-out",
         "jobs",
     ])?;
-    // --budget forces the energy-budget governor, so naming a governor
-    // alongside it is the same conflict class the openloop arrival
-    // flags reject — same helper, same wording.
-    reject_conflicts(args, &[("budget", "governor")])?;
-    let rate = args.get_or("rate", 1.0f64)?;
-    if rate <= 0.0 {
-        return Err(ParseArgsError("--rate must be positive".to_string()));
-    }
-    let workers = args.get_or("workers", 10usize)?;
-    if workers == 0 {
-        return Err(ParseArgsError("--workers must be positive".to_string()));
-    }
-    let seed = args.get_or("seed", 2022u64)?;
-    let duration = SimDuration::from_secs(args.get_or("duration-secs", 600u64)?);
-    let governor: GovernorKind = match args.get_str("budget") {
-        Some(spec) => parse_budget_spec(spec)
-            .map_err(|e: microfaas_sched::PolicyParseError| ParseArgsError(e.to_string()))?,
-        None => args
-            .get_str("governor")
-            .unwrap_or("reboot-per-job")
-            .parse()
-            .map_err(|e: microfaas_sched::PolicyParseError| ParseArgsError(e.to_string()))?,
-    };
+    let config = open_loop_config(args)?;
     let idle: IdlePolicy = args
         .get_str("idle")
         .unwrap_or("none")
         .parse()
         .map_err(ParseArgsError)?;
-    // parse_budget_spec can only return EnergyBudget; a refactor that
-    // breaks that contract would silently run uncapped, so fail loudly.
-    debug_assert!(!args.has("budget") || matches!(governor, GovernorKind::EnergyBudget { .. }));
-    let tenants = match args.get_str("tenants") {
-        Some(spec) => parse_tenant_classes(spec)?,
-        None => Vec::new(),
-    };
     let jobs = jobs_flag(args)?;
-
-    let mut config = OpenLoopConfig::paper_arrangement(1, duration, seed);
-    config.workers = workers;
-    config.arrival = ArrivalProcess::Poisson { per_second: rate };
-    config.governor = governor;
-    config.tenants = tenants;
 
     // All three idle-policy ledgers come from identically-seeded runs
     // (fanned over --jobs); attribution never perturbs the simulation,
@@ -937,11 +898,17 @@ fn energy(args: &Args) -> Result<(), ParseArgsError> {
         .expect("IdlePolicy::ALL covers every policy");
     let (run, ledger) = &results[sel];
 
+    // `energy` accepts no --arrivals, so this is the Poisson --rate.
+    let rate = config
+        .arrival
+        .mean_per_second(config.duration.as_secs_f64());
     println!(
-        "energy attribution: {workers} workers, {rate} jobs/s for {:.0} s, seed {seed}",
-        duration.as_secs_f64()
+        "energy attribution: {} workers, {rate} jobs/s for {:.0} s, seed {}",
+        config.workers,
+        config.duration.as_secs_f64(),
+        config.seed
     );
-    println!("governor:         {}", governor.label());
+    println!("governor:         {}", config.governor.label());
     if let Some(spec) = args.get_str("budget") {
         println!("tenant budget:    {spec} (breaches gate admission)");
     }
@@ -1019,19 +986,13 @@ fn sched(args: &Args) -> Result<(), ParseArgsError> {
         "csv",
         "cache",
     ])?;
-    let rate = args.get_or("rate", 0.1f64)?;
-    if rate <= 0.0 {
-        return Err(ParseArgsError("--rate must be positive".to_string()));
-    }
+    let rate = positive(args, "rate", 0.1f64)?;
     let duration = SimDuration::from_secs(args.get_or("duration-secs", 1200u64)?);
-    let workers = args.get_or("workers", 10usize)?;
-    if workers == 0 {
-        return Err(ParseArgsError("--workers must be positive".to_string()));
-    }
+    let workers = positive(args, "workers", 10usize)?;
     let seed = args.get_or("seed", 1u64)?;
     let jobs = jobs_flag(args)?;
     let cache = cache_flag(args)?;
-    let points = policy_sweep_cached_jobs(rate, duration, workers, seed, &cache, jobs);
+    let points = policy_sweep(rate, duration, workers, seed, &cache, jobs);
     println!(
         "policy sweep: {} workers, {rate} jobs/s for {:.0} s, seed {seed} \
          ({} placement x governor points)",
@@ -1115,14 +1076,11 @@ fn scenarios(args: &Args) -> Result<(), ParseArgsError> {
         None => Scenario::standard_suite(),
     };
     let duration = SimDuration::from_secs(args.get_or("duration-secs", 1200u64)?);
-    let workers = args.get_or("workers", 10usize)?;
-    if workers == 0 {
-        return Err(ParseArgsError("--workers must be positive".to_string()));
-    }
+    let workers = positive(args, "workers", 10usize)?;
     let seed = args.get_or("seed", 1u64)?;
     let jobs = jobs_flag(args)?;
     let cache = cache_flag(args)?;
-    let outcomes = scenario_sweep_cached_jobs(&suite, duration, workers, seed, &cache, jobs);
+    let outcomes = scenario_sweep(&suite, duration, workers, seed, &cache, jobs);
     println!(
         "scenario sweep: {} regime(s) x {} policy points, {workers} workers \
          for {:.0} s, seed {seed}",
@@ -1214,10 +1172,7 @@ fn reliability(args: &Args) -> Result<(), ParseArgsError> {
 fn timeline(args: &Args) -> Result<(), ParseArgsError> {
     args.expect_only(&["invocations", "width", "seed"])?;
     let invocations = args.get_or("invocations", 15u32)?;
-    let width = args.get_or("width", 72usize)?;
-    if width == 0 {
-        return Err(ParseArgsError("--width must be positive".to_string()));
-    }
+    let width = positive(args, "width", 72usize)?;
     let seed = args.get_or("seed", 2022u64)?;
     let run = microfaas::micro::run_microfaas(&microfaas::micro::MicroFaasConfig::paper_prototype(
         microfaas::config::WorkloadMix::new(FunctionId::ALL.to_vec(), invocations),
@@ -1237,8 +1192,7 @@ fn scale(args: &Args) -> Result<(), ParseArgsError> {
     let invocations = args.get_or("invocations", 30u32)?;
     let seed = args.get_or("seed", 2022u64)?;
     let jobs = jobs_flag(args)?;
-    let points =
-        microfaas::experiment::sbc_scale_sweep_jobs(&[5, 10, 20, 40, 80], invocations, seed, jobs);
+    let points = sbc_scale_sweep(&[5, 10, 20, 40, 80], invocations, seed, jobs);
     let mut csv = Csv::new(&["workers", "func_per_min", "per_node", "joules_per_function"]);
     println!(
         "{:>8} {:>14} {:>12} {:>10}",
@@ -1275,10 +1229,7 @@ fn trace(args: &Args) -> Result<(), ParseArgsError> {
     ])?;
     let invocations = args.get_or("invocations", 25u32)?;
     let seed = args.get_or("seed", 2022u64)?;
-    let capacity = args.get_or("buffer", 1_048_576usize)?;
-    if capacity == 0 {
-        return Err(ParseArgsError("--buffer must be positive".to_string()));
-    }
+    let capacity = positive(args, "buffer", 1_048_576usize)?;
     let job_filter = if args.has("job") {
         Some(args.get_or("job", 0u64)?)
     } else {
@@ -1541,15 +1492,9 @@ fn faults(args: &Args) -> Result<(), ParseArgsError> {
     let plan = load_plan(path)?;
     let invocations = args.get_or("invocations", 25u32)?;
     let seed = args.get_or("seed", 2022u64)?;
-    let width = args.get_or("width", 72usize)?;
-    if width == 0 {
-        return Err(ParseArgsError("--width must be positive".to_string()));
-    }
+    let width = positive(args, "width", 72usize)?;
     let jobs = jobs_flag(args)?;
-    let replicates = args.get_or("replicates", 1u32)?;
-    if replicates == 0 {
-        return Err(ParseArgsError("--replicates must be positive".to_string()));
-    }
+    let replicates = positive(args, "replicates", 1u32)?;
     if replicates > 1 {
         return faults_replicated(args, path, plan, invocations, seed, jobs, replicates);
     }
@@ -1994,6 +1939,86 @@ mod tests {
                 "{argv:?}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn non_positive_workers_and_rates_are_errors_not_panics() {
+        for command in ["openloop", "monitor", "energy", "sched", "scenarios"] {
+            for (flag, value) in [
+                ("--workers", "0"),
+                ("--rate", "0"),
+                ("--rate", "-1"),
+                ("--rate", "NaN"),
+                ("--rate", "inf"),
+            ] {
+                let err = run(&[command, flag, value, "--duration-secs", "10"])
+                    .expect_err("a non-positive value must be rejected");
+                // `scenarios` takes its rates from the regime specs, so
+                // it has no --rate flag to accept in the first place.
+                let expected = if command == "scenarios" && flag == "--rate" {
+                    "unknown flag '--rate'".to_string()
+                } else {
+                    format!("{flag} must be positive")
+                };
+                assert!(
+                    err.to_string().contains(&expected),
+                    "{command} {flag} {value}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn deeply_nested_spec_files_are_errors_not_aborts() {
+        let path = std::env::temp_dir().join("microfaas_cli_test_deep.json");
+        std::fs::write(&path, "[".repeat(200_000) + &"]".repeat(200_000)).expect("written");
+        let path = path.to_str().expect("utf-8 temp path");
+        for argv in [["scenarios", "--spec", path], ["faults", "--plan", path]] {
+            let err = run(&argv).expect_err("nesting past the parser's cap");
+            assert!(err.to_string().contains("nesting"), "{argv:?}: {err}");
+        }
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn open_loop_config_reads_every_shared_flag() {
+        let args = Args::parse([
+            "openloop",
+            "--arrivals",
+            "poisson:3",
+            "--policy",
+            "jsq",
+            "--budget",
+            "2",
+            "--popularity",
+            "zipf:1.1",
+            "--tenants",
+            "paid:1:2.5",
+            "--workers",
+            "7",
+            "--seed",
+            "9",
+            "--duration-secs",
+            "30",
+            "--cache",
+            "lru:8",
+        ])
+        .expect("parses");
+        let config = open_loop_config(&args).expect("valid flags");
+        assert_eq!(config.arrival, ArrivalProcess::Poisson { per_second: 3.0 });
+        assert_eq!(config.scheduler.label(), "join-shortest-queue");
+        assert!(config.governor.budget_cap_w().is_some());
+        assert_eq!(config.popularity, Popularity::Zipf { exponent: 1.1 });
+        assert_eq!(config.tenants.len(), 1);
+        assert_eq!(
+            (config.workers, config.seed, config.duration),
+            (7, 9, SimDuration::from_secs(30))
+        );
+        assert!(config.cache.enabled());
+        let defaults = open_loop_config(&Args::parse(["energy"]).expect("parses")).expect("valid");
+        let mut paper = OpenLoopConfig::paper_arrangement(1, SimDuration::from_secs(600), 2022);
+        paper.arrival = ArrivalProcess::Poisson { per_second: 1.0 };
+        assert_eq!(format!("{defaults:?}"), format!("{paper:?}"));
     }
 
     #[test]

@@ -931,7 +931,7 @@ impl Scenario {
     ///
     /// Returns a message naming the malformed field.
     pub fn from_json(text: &str) -> Result<Vec<Scenario>, String> {
-        let value = json::parse(text)?;
+        let value = json::parse(text).map_err(|e| e.to_string())?;
         let object = value
             .as_object()
             .ok_or_else(|| "top level must be an object".to_string())?;

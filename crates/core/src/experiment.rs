@@ -2,15 +2,16 @@
 //! evaluation (Section V). The bench targets in `microfaas-bench` print
 //! these results; integration tests assert their shapes.
 //!
-//! Every sweep and replicate driver here runs on the parallel
-//! deterministic experiment engine ([`microfaas_sim::exec`]): pass
-//! [`Jobs`] to the `*_jobs` variants to fan independent simulation runs
-//! across cores. Output is **bit-identical** for every job count — each
-//! run derives all randomness from its own config and seed, and results
-//! are gathered in canonical submission order (see
-//! `docs/PERFORMANCE.md`). The plain entry points default to
-//! [`Jobs::auto`] (available parallelism, overridable via the
-//! `MICROFAAS_JOBS` environment variable).
+//! Each experiment has exactly one driver, and every option is a
+//! parameter: [`compare_suites`] takes its fault plan and metrics
+//! registry, [`policy_sweep`] and [`scenario_sweep`] their
+//! [`CacheConfig`], and every multi-run driver takes a [`Jobs`] budget
+//! (pass [`Jobs::auto`] for available parallelism, overridable via the
+//! `MICROFAAS_JOBS` environment variable). The drivers run on the
+//! parallel deterministic experiment engine ([`microfaas_sim::exec`]):
+//! output is **bit-identical** for every job count — each run derives
+//! all randomness from its own config and seed, and results are
+//! gathered in canonical submission order (see `docs/PERFORMANCE.md`).
 
 use std::sync::Arc;
 
@@ -114,93 +115,18 @@ impl SuiteComparison {
 }
 
 /// Runs the paper's main experiment — the full suite on both clusters —
-/// with `invocations_per_function` per function (the paper uses 1,000).
-/// The two cluster runs execute concurrently under [`Jobs::auto`].
-pub fn compare_suites(invocations_per_function: u32, seed: u64) -> SuiteComparison {
-    compare_suites_jobs(invocations_per_function, seed, Jobs::auto())
-}
-
-/// [`compare_suites`] with an explicit [`Jobs`] budget: the MicroFaaS
-/// and conventional runs are independent simulations, so with `jobs >=
-/// 2` they execute on separate threads. Bit-identical at every job
-/// count.
-pub fn compare_suites_jobs(
-    invocations_per_function: u32,
-    seed: u64,
-    jobs: Jobs,
-) -> SuiteComparison {
-    let mix = suite_mix(invocations_per_function);
-    let mut runs = exec::par_map_indexed(jobs, 2, |i| {
-        if i == 0 {
-            run_microfaas(&MicroFaasConfig::paper_prototype(Arc::clone(&mix), seed))
-        } else {
-            run_conventional(&ConventionalConfig::paper_baseline(Arc::clone(&mix), seed))
-        }
-    });
-    let conventional = runs.pop().expect("two runs");
-    let micro = runs.pop().expect("two runs");
-    breakdown(micro, conventional)
-}
-
-/// [`compare_suites`] with metrics collection: both runs publish their
-/// `micro_*` / `conv_*` series into the same registry, ready for one
-/// combined Prometheus exposition (`microfaas compare --metrics-out`).
+/// with `invocations_per_function` per function (the paper uses 1,000),
+/// both under the same `faults` configuration
+/// ([`FaultsConfig::none`] for the fault-free comparison;
+/// `microfaas compare --faults plan.json` passes a plan).
 ///
-/// Metrics collection never perturbs the simulation — the comparison is
-/// bit-identical to [`compare_suites`] at the same arguments.
-pub fn compare_suites_metered(
-    invocations_per_function: u32,
-    seed: u64,
-    metrics: &mut MetricsRegistry,
-) -> SuiteComparison {
-    compare_suites_metered_jobs(invocations_per_function, seed, metrics, Jobs::auto())
-}
-
-/// [`compare_suites_metered`] with an explicit [`Jobs`] budget. In
-/// parallel mode each cluster meters into a private registry; merging
-/// micro-then-conv in canonical order reproduces the sequential
-/// registration order, so the rendered exposition is byte-identical to
-/// the serial path.
-pub fn compare_suites_metered_jobs(
-    invocations_per_function: u32,
-    seed: u64,
-    metrics: &mut MetricsRegistry,
-    jobs: Jobs,
-) -> SuiteComparison {
-    compare_suites_faulted_jobs(
-        invocations_per_function,
-        seed,
-        &FaultsConfig::none(),
-        metrics,
-        jobs,
-    )
-}
-
-/// [`compare_suites_metered`] under a fault plan: both clusters run the
-/// same `faults` configuration (`microfaas compare --faults plan.json`).
-///
-/// With [`FaultsConfig::none`] this is bit-identical to
-/// [`compare_suites_metered`] at the same arguments — the fault hooks
-/// schedule nothing and draw nothing from an empty plan.
-pub fn compare_suites_faulted(
-    invocations_per_function: u32,
-    seed: u64,
-    faults: &FaultsConfig,
-    metrics: &mut MetricsRegistry,
-) -> SuiteComparison {
-    compare_suites_faulted_jobs(
-        invocations_per_function,
-        seed,
-        faults,
-        metrics,
-        Jobs::auto(),
-    )
-}
-
-/// [`compare_suites_faulted`] with an explicit [`Jobs`] budget; fault
-/// counters and the metrics exposition stay bit-identical to the serial
-/// path at every job count.
-pub fn compare_suites_faulted_jobs(
+/// The MicroFaaS and conventional runs are independent simulations, so
+/// with `jobs >= 2` they execute on separate threads. Each meters its
+/// `micro_*` / `conv_*` series into a private registry, and the two are
+/// merged into `metrics` in canonical micro-then-conv order, so the
+/// rendered exposition is byte-identical at every job count. Metering
+/// and an empty fault plan never perturb the simulation.
+pub fn compare_suites(
     invocations_per_function: u32,
     seed: u64,
     faults: &FaultsConfig,
@@ -208,30 +134,17 @@ pub fn compare_suites_faulted_jobs(
     jobs: Jobs,
 ) -> SuiteComparison {
     let mix = suite_mix(invocations_per_function);
-    let micro_config = {
-        let mut config = MicroFaasConfig::paper_prototype(Arc::clone(&mix), seed);
-        config.faults = faults.clone();
-        config
-    };
-    let conv_config = {
-        let mut config = ConventionalConfig::paper_baseline(Arc::clone(&mix), seed);
-        config.faults = faults.clone();
-        config
-    };
-    if jobs.is_serial() {
-        let micro = run_microfaas_with(&micro_config, &mut Observer::metered(metrics));
-        let conventional = run_conventional_with(&conv_config, &mut Observer::metered(metrics));
-        return breakdown(micro, conventional);
-    }
-    // Each run meters into its own registry; the per-run registries are
-    // merged below in canonical (micro, conv) order, which reproduces
-    // the serial registration order byte-for-byte.
     let mut runs = exec::par_map_indexed(jobs, 2, |i| {
         let mut private = MetricsRegistry::new();
+        let mut observer = Observer::metered(&mut private);
         let run = if i == 0 {
-            run_microfaas_with(&micro_config, &mut Observer::metered(&mut private))
+            let mut config = MicroFaasConfig::paper_prototype(Arc::clone(&mix), seed);
+            config.faults = faults.clone();
+            run_microfaas_with(&config, &mut observer)
         } else {
-            run_conventional_with(&conv_config, &mut Observer::metered(&mut private))
+            let mut config = ConventionalConfig::paper_baseline(Arc::clone(&mix), seed);
+            config.faults = faults.clone();
+            run_conventional_with(&config, &mut observer)
         };
         (run, private)
     });
@@ -275,16 +188,10 @@ pub struct VmSweepPoint {
 }
 
 /// Sweeps the conventional cluster from 1 to `max_vms` VMs (Fig. 4's
-/// x-axis), returning one simulated point per count. Points run in
-/// parallel under [`Jobs::auto`].
-pub fn vm_sweep(max_vms: usize, invocations_per_function: u32, seed: u64) -> Vec<VmSweepPoint> {
-    vm_sweep_jobs(max_vms, invocations_per_function, seed, Jobs::auto())
-}
-
-/// [`vm_sweep`] with an explicit [`Jobs`] budget. Every point is an
+/// x-axis), returning one simulated point per count. Every point is an
 /// independent run seeded identically, so the sweep is bit-identical at
 /// every job count; the mix is built once and shared across points.
-pub fn vm_sweep_jobs(
+pub fn vm_sweep(
     max_vms: usize,
     invocations_per_function: u32,
     seed: u64,
@@ -340,18 +247,8 @@ pub struct SbcScalePoint {
 /// Sweeps the MicroFaaS cluster size. The paper argues capacity and cost
 /// scale linearly with node count; throughput per node and J/function
 /// should stay constant across the sweep. Points run in parallel under
-/// [`Jobs::auto`].
+/// `jobs`; the sweep is bit-identical at every job count.
 pub fn sbc_scale_sweep(
-    worker_counts: &[usize],
-    invocations_per_function: u32,
-    seed: u64,
-) -> Vec<SbcScalePoint> {
-    sbc_scale_sweep_jobs(worker_counts, invocations_per_function, seed, Jobs::auto())
-}
-
-/// [`sbc_scale_sweep`] with an explicit [`Jobs`] budget; bit-identical
-/// at every job count.
-pub fn sbc_scale_sweep_jobs(
     worker_counts: &[usize],
     invocations_per_function: u32,
     seed: u64,
@@ -586,40 +483,18 @@ fn policy_point(
 }
 
 /// Crosses every [`PlacementKind`] with every [`GovernorKind`]
-/// (35 combinations) on the open-loop cluster and flags the
-/// latency–energy Pareto front. The interesting regime is **sparse**
-/// load — per-node idle gaps above the ~23 s standby/boot break-even —
-/// where keeping nodes warm genuinely trades energy for latency; at
-/// saturating rates keep-alive simply dominates and the front
-/// collapses. Points run in parallel under [`Jobs::auto`].
+/// (35 combinations) on the open-loop cluster under Poisson arrivals at
+/// `per_second` and flags the latency–energy Pareto front. The
+/// interesting regime is **sparse** load — per-node idle gaps above the
+/// ~23 s standby/boot break-even — where keeping nodes warm genuinely
+/// trades energy for latency; at saturating rates keep-alive simply
+/// dominates and the front collapses.
+///
+/// This is a one-regime [`scenario_sweep`], so it shares that driver's
+/// guarantees: `cache` is installed on every point (`microfaas sched
+/// --cache`; [`CacheConfig::Off`] leaves the cache columns at zero),
+/// and the points are bit-identical at every job count.
 pub fn policy_sweep(
-    per_second: f64,
-    duration: SimDuration,
-    workers: usize,
-    seed: u64,
-) -> Vec<PolicyPoint> {
-    policy_sweep_jobs(per_second, duration, workers, seed, Jobs::auto())
-}
-
-/// [`policy_sweep`] with an explicit [`Jobs`] budget. Each point is an
-/// independent, identically-seeded run and results are gathered in
-/// canonical order, so the sweep is bit-identical at every job count.
-pub fn policy_sweep_jobs(
-    per_second: f64,
-    duration: SimDuration,
-    workers: usize,
-    seed: u64,
-    jobs: Jobs,
-) -> Vec<PolicyPoint> {
-    policy_sweep_cached_jobs(per_second, duration, workers, seed, &CacheConfig::Off, jobs)
-}
-
-/// [`policy_sweep_jobs`] with a result cache installed on every point
-/// (`microfaas sched --cache`): the `hit_rate`, `joules_saved`, and
-/// `cached_edp` columns become live measurements and the Pareto front
-/// re-forms around the cache's zero-energy completions. With
-/// [`CacheConfig::Off`] this is exactly [`policy_sweep_jobs`].
-pub fn policy_sweep_cached_jobs(
     per_second: f64,
     duration: SimDuration,
     workers: usize,
@@ -627,28 +502,11 @@ pub fn policy_sweep_cached_jobs(
     cache: &CacheConfig,
     jobs: Jobs,
 ) -> Vec<PolicyPoint> {
-    let combos: Vec<(PlacementKind, GovernorKind)> = PlacementKind::ALL
-        .into_iter()
-        .flat_map(|p| GovernorKind::ALL.into_iter().map(move |g| (p, g)))
-        .collect();
-    let mut points = exec::par_map(jobs, &combos, |&(placement, governor)| {
-        let mut config = OpenLoopConfig::paper_arrangement(1, duration, seed);
-        config.workers = workers;
-        config.arrival = ArrivalProcess::Poisson { per_second };
-        config.scheduler = placement;
-        config.governor = governor;
-        config.cache = *cache;
-        let run = run_open_loop(&config);
-        policy_point(placement, governor, &run)
-    });
-    let coords: Vec<(f64, f64)> = points
-        .iter()
-        .map(|p| (p.mean_latency_s, p.joules_per_function))
-        .collect();
-    for (point, on_front) in points.iter_mut().zip(pareto_front(&coords)) {
-        point.pareto = on_front;
-    }
-    points
+    let scenario = Scenario::new("poisson", ArrivalProcess::Poisson { per_second });
+    scenario_sweep(&[scenario], duration, workers, seed, cache, jobs)
+        .pop()
+        .expect("one scenario")
+        .points
 }
 
 /// Renders a sweep as the CSV the `sched` CLI subcommand emits (see
@@ -705,41 +563,20 @@ impl ScenarioOutcome {
     }
 }
 
-/// Runs [`policy_sweep`]'s placement × governor cross product once per
-/// scenario and names each regime's energy-delay-product winner — the
+/// Runs the placement × governor cross product once per scenario and
+/// names each regime's energy-delay-product winner — the
 /// regime-conditional answer to "which policy should I deploy?". The
 /// per-regime winner genuinely moves with traffic shape; the worked
 /// example in `docs/WORKLOADS.md` and `examples/diurnal_pareto.rs`
-/// show the flip. Runs under [`Jobs::auto`].
-pub fn scenario_sweep(
-    scenarios: &[Scenario],
-    duration: SimDuration,
-    workers: usize,
-    seed: u64,
-) -> Vec<ScenarioOutcome> {
-    scenario_sweep_jobs(scenarios, duration, workers, seed, Jobs::auto())
-}
-
-/// [`scenario_sweep`] with an explicit [`Jobs`] budget. The full
+/// show the flip.
+///
+/// `cache` is installed on every point (`microfaas scenarios --cache`):
+/// per-regime winners are then evaluated on the cached latency/energy
+/// numbers, which is how the cache reshapes the answer. The full
 /// scenarios × placements × governors cube is flattened into one
-/// parallel batch; every run derives its randomness from the shared
-/// `seed`, so results are bit-identical at every job count.
-pub fn scenario_sweep_jobs(
-    scenarios: &[Scenario],
-    duration: SimDuration,
-    workers: usize,
-    seed: u64,
-    jobs: Jobs,
-) -> Vec<ScenarioOutcome> {
-    scenario_sweep_cached_jobs(scenarios, duration, workers, seed, &CacheConfig::Off, jobs)
-}
-
-/// [`scenario_sweep_jobs`] with a result cache installed on every point
-/// (`microfaas scenarios --cache`): per-regime winners are re-evaluated
-/// on the cached latency/energy numbers, which is how the cache
-/// reshapes the regime-conditional policy answer. With
-/// [`CacheConfig::Off`] this is exactly [`scenario_sweep_jobs`].
-pub fn scenario_sweep_cached_jobs(
+/// parallel batch over `jobs`; every run derives its randomness from
+/// the shared `seed`, so results are bit-identical at every job count.
+pub fn scenario_sweep(
     scenarios: &[Scenario],
     duration: SimDuration,
     workers: usize,
@@ -843,7 +680,19 @@ mod tests {
     /// The `sched` CLI subcommand's default sweep arrangement; tests
     /// pin the acceptance property at exactly these settings.
     fn default_sweep() -> Vec<PolicyPoint> {
-        policy_sweep(0.1, SimDuration::from_secs(1200), 10, 1)
+        policy_sweep(
+            0.1,
+            SimDuration::from_secs(1200),
+            10,
+            1,
+            &CacheConfig::Off,
+            Jobs::auto(),
+        )
+    }
+
+    /// The tests' short sweep arrangement: 300 s on 10 workers, seed 9.
+    fn short_policy_sweep(per_second: f64, cache: &CacheConfig, jobs: Jobs) -> Vec<PolicyPoint> {
+        policy_sweep(per_second, SimDuration::from_secs(300), 10, 9, cache, jobs)
     }
 
     #[test]
@@ -916,8 +765,8 @@ mod tests {
 
     #[test]
     fn policy_sweep_is_bit_identical_across_job_counts() {
-        let serial = policy_sweep_jobs(0.5, SimDuration::from_secs(300), 10, 9, Jobs::serial());
-        let parallel = policy_sweep_jobs(0.5, SimDuration::from_secs(300), 10, 9, Jobs::new(4));
+        let serial = short_policy_sweep(0.5, &CacheConfig::Off, Jobs::serial());
+        let parallel = short_policy_sweep(0.5, &CacheConfig::Off, Jobs::new(4));
         assert_eq!(serial, parallel);
         assert_eq!(
             policy_sweep_csv(&serial),
@@ -928,7 +777,7 @@ mod tests {
 
     #[test]
     fn policy_sweep_csv_shape() {
-        let points = policy_sweep_jobs(0.5, SimDuration::from_secs(300), 10, 9, Jobs::serial());
+        let points = short_policy_sweep(0.5, &CacheConfig::Off, Jobs::serial());
         let csv = policy_sweep_csv(&points);
         let mut lines = csv.lines();
         assert_eq!(
@@ -946,15 +795,8 @@ mod tests {
     #[test]
     fn cached_sweeps_measure_hit_rates_and_savings() {
         let cache = CacheConfig::parse("lru:1024").expect("valid spec");
-        let cached = policy_sweep_cached_jobs(
-            2.0,
-            SimDuration::from_secs(300),
-            10,
-            9,
-            &cache,
-            Jobs::serial(),
-        );
-        let plain = policy_sweep_jobs(2.0, SimDuration::from_secs(300), 10, 9, Jobs::serial());
+        let cached = short_policy_sweep(2.0, &cache, Jobs::serial());
+        let plain = short_policy_sweep(2.0, &CacheConfig::Off, Jobs::serial());
         assert_eq!(cached.len(), plain.len());
         assert!(
             plain
@@ -993,15 +835,15 @@ mod tests {
         vec![all[0].clone(), all[4].clone()]
     }
 
+    /// A cache-off [`short_suite`] sweep: 300 s on 10 workers, seed 9.
+    fn short_scenario_sweep(jobs: Jobs) -> Vec<ScenarioOutcome> {
+        let duration = SimDuration::from_secs(300);
+        scenario_sweep(&short_suite(), duration, 10, 9, &CacheConfig::Off, jobs)
+    }
+
     #[test]
     fn scenario_sweep_scores_every_regime_and_names_a_winner() {
-        let outcomes = scenario_sweep_jobs(
-            &short_suite(),
-            SimDuration::from_secs(300),
-            10,
-            9,
-            Jobs::serial(),
-        );
+        let outcomes = short_scenario_sweep(Jobs::serial());
         assert_eq!(outcomes.len(), 2);
         for outcome in &outcomes {
             assert_eq!(
@@ -1023,11 +865,8 @@ mod tests {
 
     #[test]
     fn scenario_sweep_is_bit_identical_across_job_counts() {
-        let suite = short_suite();
-        let serial =
-            scenario_sweep_jobs(&suite, SimDuration::from_secs(300), 10, 9, Jobs::serial());
-        let parallel =
-            scenario_sweep_jobs(&suite, SimDuration::from_secs(300), 10, 9, Jobs::new(4));
+        let serial = short_scenario_sweep(Jobs::serial());
+        let parallel = short_scenario_sweep(Jobs::new(4));
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.points, b.points);
             assert_eq!(a.winner, b.winner);
@@ -1045,13 +884,7 @@ mod tests {
 
     #[test]
     fn scenario_sweep_csv_shape() {
-        let outcomes = scenario_sweep_jobs(
-            &short_suite(),
-            SimDuration::from_secs(300),
-            10,
-            9,
-            Jobs::serial(),
-        );
+        let outcomes = short_scenario_sweep(Jobs::serial());
         let csv = scenario_sweep_csv(&outcomes);
         let mut lines = csv.lines();
         assert_eq!(
@@ -1110,9 +943,21 @@ mod tests {
         assert_eq!(tight, budget_idx, "a binding cap must take the EDP crown");
     }
 
+    fn fault_free_comparison(invocations_per_function: u32, seed: u64) -> SuiteComparison {
+        let mut metrics = MetricsRegistry::new();
+        let none = FaultsConfig::none();
+        compare_suites(
+            invocations_per_function,
+            seed,
+            &none,
+            &mut metrics,
+            Jobs::auto(),
+        )
+    }
+
     #[test]
     fn suite_comparison_reproduces_fig3_claims() {
-        let cmp = compare_suites(60, 11);
+        let cmp = fault_free_comparison(60, 11);
         assert_eq!(cmp.rows.len(), 17);
         assert_eq!(
             cmp.faster_on_microfaas().len(),
@@ -1128,14 +973,14 @@ mod tests {
 
     #[test]
     fn efficiency_gain_near_5_6x() {
-        let cmp = compare_suites(60, 12);
+        let cmp = fault_free_comparison(60, 12);
         let gain = cmp.efficiency_gain();
         assert!((gain - 5.6).abs() < 0.8, "gain {gain:.2} vs paper 5.6");
     }
 
     #[test]
     fn vm_sweep_throughput_rises_then_saturates() {
-        let sweep = vm_sweep(20, 20, 13);
+        let sweep = vm_sweep(20, 20, 13, Jobs::auto());
         assert_eq!(sweep.len(), 20);
         // Throughput at 6 VMs should roughly double 3 VMs.
         let t3 = sweep[2].functions_per_minute;
@@ -1149,7 +994,7 @@ mod tests {
 
     #[test]
     fn vm_sweep_efficiency_improves_to_saturation() {
-        let sweep = vm_sweep(18, 20, 14);
+        let sweep = vm_sweep(18, 20, 14, Jobs::auto());
         let j1 = sweep[0].joules_per_function;
         let j6 = sweep[5].joules_per_function;
         let j16 = sweep[15].joules_per_function;
@@ -1165,7 +1010,7 @@ mod tests {
     fn sbc_scaling_is_linear_in_node_count() {
         // §III-c: doubling nodes doubles capacity; per-function energy
         // is unchanged. This is what lets a provider quote marginal cost.
-        let points = sbc_scale_sweep(&[5, 10, 20, 40], 40, 15);
+        let points = sbc_scale_sweep(&[5, 10, 20, 40], 40, 15, Jobs::auto());
         let per_node: Vec<f64> = points
             .iter()
             .map(|p| p.functions_per_minute / p.workers as f64)

@@ -1,22 +1,18 @@
 //! The result cache's two determinism contracts (docs/CACHING.md):
 //!
 //! 1. **Off = inert.** `CacheConfig::Off` (the default) leaves every
-//!    observable surface byte-identical to pre-cache builds: sweeps
-//!    render the same CSV bytes as the uncached entry points, traces
+//!    observable surface byte-identical to pre-cache builds: traces
 //!    contain no cache events, and Prometheus expositions contain no
-//!    `cache` substring. (The 18 golden fingerprints in
-//!    `sched_compat.rs` pin the absolute bytes; this file pins the
-//!    cache-specific surfaces.)
+//!    `cache` substring. (The golden fingerprints in `sched_compat.rs`
+//!    pin the absolute bytes, cache-off sweep CSVs included; this file
+//!    pins the cache-specific surfaces.)
 //! 2. **On = `--jobs`-invariant.** Cached runs are bit-identical at
 //!    every job count: the same sweep serialized through one thread or
 //!    fanned over eight must produce the same CSV bytes, hit counts,
 //!    and derived columns.
 
 use microfaas::cache::{CacheConfig, ResultCache};
-use microfaas::experiment::{
-    policy_sweep_cached_jobs, policy_sweep_csv, policy_sweep_jobs, scenario_sweep_cached_jobs,
-    scenario_sweep_csv,
-};
+use microfaas::experiment::{policy_sweep, policy_sweep_csv, scenario_sweep, scenario_sweep_csv};
 use microfaas::openloop::{run_open_loop, ArrivalProcess, OpenLoopConfig};
 use microfaas::Popularity;
 use microfaas::Scenario;
@@ -60,14 +56,6 @@ fn cache_off_traces_and_expositions_are_cache_free() {
     );
 }
 
-#[test]
-fn cache_off_sweeps_match_the_uncached_entry_points_byte_for_byte() {
-    let duration = SimDuration::from_secs(60);
-    let plain = policy_sweep_jobs(0.5, duration, 4, 7, Jobs::serial());
-    let off = policy_sweep_cached_jobs(0.5, duration, 4, 7, &CacheConfig::Off, Jobs::serial());
-    assert_eq!(policy_sweep_csv(&plain), policy_sweep_csv(&off));
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -97,8 +85,8 @@ proptest! {
     fn cached_policy_sweeps_are_jobs_invariant(seed in 0u64..1_000) {
         let cache = CacheConfig::parse("lru:1024,ttl=120").unwrap();
         let duration = SimDuration::from_secs(60);
-        let serial = policy_sweep_cached_jobs(0.5, duration, 4, seed, &cache, Jobs::serial());
-        let parallel = policy_sweep_cached_jobs(0.5, duration, 4, seed, &cache, Jobs::new(8));
+        let serial = policy_sweep(0.5, duration, 4, seed, &cache, Jobs::serial());
+        let parallel = policy_sweep(0.5, duration, 4, seed, &cache, Jobs::new(8));
         prop_assert_eq!(policy_sweep_csv(&serial), policy_sweep_csv(&parallel));
         prop_assert!(
             serial.iter().any(|p| p.hit_rate > 0.0),
@@ -114,9 +102,9 @@ proptest! {
         let suite = Scenario::standard_suite();
         let duration = SimDuration::from_secs(30);
         let serial =
-            scenario_sweep_cached_jobs(&suite, duration, 4, seed, &cache, Jobs::serial());
+            scenario_sweep(&suite, duration, 4, seed, &cache, Jobs::serial());
         let parallel =
-            scenario_sweep_cached_jobs(&suite, duration, 4, seed, &cache, Jobs::new(8));
+            scenario_sweep(&suite, duration, 4, seed, &cache, Jobs::new(8));
         prop_assert_eq!(scenario_sweep_csv(&serial), scenario_sweep_csv(&parallel));
     }
 }

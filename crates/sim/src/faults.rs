@@ -197,7 +197,7 @@ impl FaultPlan {
     /// Returns [`FaultPlanError`] on malformed JSON, unknown keys or
     /// kinds, and any [`FaultPlan::validate`] failure.
     pub fn from_json(text: &str) -> Result<FaultPlan, FaultPlanError> {
-        let value = json::parse(text).map_err(FaultPlanError)?;
+        let value = json::parse(text).map_err(|e| FaultPlanError(e.to_string()))?;
         let object = value
             .as_object()
             .ok_or_else(|| FaultPlanError("top level must be an object".to_string()))?;

@@ -36,8 +36,8 @@
 //!   and worker lifecycle spans, plus a [`CriticalPath`] analyzer that
 //!   attributes end-to-end latency to phases;
 //! * [`chrome`] — a Chrome trace-event JSON exporter (loads in
-//!   Perfetto / `chrome://tracing`) with a dependency-free JSON parser
-//!   for round-trip validation.
+//!   Perfetto / `chrome://tracing`) with a schema validator that
+//!   round-trips exports through the [`json`] parser.
 //!
 //! And one fault-injection module (see `docs/FAILURE_MODEL.md`):
 //!
@@ -45,9 +45,9 @@
 //!   hangs, transfer losses) drawn through a [`FaultInjector`] whose
 //!   private RNG stream keeps fault-free runs bit-identical.
 //!
-//! The [`json`] module is the shared dependency-free recursive-descent
-//! JSON parser behind every spec file (fault plans, workload
-//! scenarios).
+//! The [`json`] module is the one dependency-free recursive-descent
+//! JSON parser, depth-capped, behind every spec file (fault plans,
+//! workload scenarios) and the Chrome trace validator.
 //!
 //! Finally, [`exec`] is the parallel deterministic experiment engine
 //! (see `docs/PERFORMANCE.md`): it fans independent runs — sweep

@@ -23,7 +23,7 @@
 
 use microfaas::arrivals::Scenario;
 use microfaas::cache::{CacheConfig, DEFAULT_CACHE_SPEC};
-use microfaas::experiment::{scenario_sweep, scenario_sweep_cached_jobs};
+use microfaas::experiment::scenario_sweep;
 use microfaas_sim::{Jobs, SimDuration};
 
 const DURATION_SECS: u64 = 1200;
@@ -39,9 +39,10 @@ fn main() {
         suite.len()
     );
 
-    let plain = scenario_sweep(&suite, duration, WORKERS, SEED);
-    let cache = CacheConfig::parse(DEFAULT_CACHE_SPEC).expect("valid default spec");
-    let cached = scenario_sweep_cached_jobs(&suite, duration, WORKERS, SEED, &cache, Jobs::auto());
+    let sweep =
+        |cache: &CacheConfig| scenario_sweep(&suite, duration, WORKERS, SEED, cache, Jobs::auto());
+    let plain = sweep(&CacheConfig::Off);
+    let cached = sweep(&CacheConfig::parse(DEFAULT_CACHE_SPEC).expect("valid default spec"));
 
     println!(
         "{:<12} {:<13} {:<20} {:<15} {:>9} {:>8} {:>8} {:>9}",

@@ -12,8 +12,7 @@ use std::sync::Arc;
 use microfaas::config::WorkloadMix;
 use microfaas::conventional::{run_conventional_with, ConventionalConfig};
 use microfaas::experiment::{
-    compare_suites_faulted_jobs, compare_suites_jobs, conventional_replicates, micro_replicates,
-    sbc_scale_sweep_jobs, vm_sweep_jobs,
+    compare_suites, conventional_replicates, micro_replicates, sbc_scale_sweep, vm_sweep,
 };
 use microfaas::micro::{run_microfaas_with, MicroFaasConfig};
 use microfaas::report::ClusterRun;
@@ -71,8 +70,8 @@ fn noisy_plan() -> FaultPlan {
 
 #[test]
 fn vm_sweep_parity() {
-    let serial = vm_sweep_jobs(10, 8, 2022, Jobs::serial());
-    let parallel = vm_sweep_jobs(10, 8, 2022, jobs8());
+    let serial = vm_sweep(10, 8, 2022, Jobs::serial());
+    let parallel = vm_sweep(10, 8, 2022, jobs8());
     assert_eq!(serial, parallel);
     assert_eq!(serial.len(), 10);
 }
@@ -80,8 +79,8 @@ fn vm_sweep_parity() {
 #[test]
 fn sbc_scale_sweep_parity() {
     let counts = [3usize, 5, 10, 20, 40];
-    let serial = sbc_scale_sweep_jobs(&counts, 6, 2022, Jobs::serial());
-    let parallel = sbc_scale_sweep_jobs(&counts, 6, 2022, jobs8());
+    let serial = sbc_scale_sweep(&counts, 6, 2022, Jobs::serial());
+    let parallel = sbc_scale_sweep(&counts, 6, 2022, jobs8());
     assert_eq!(serial, parallel);
     assert_eq!(
         parallel.iter().map(|p| p.workers).collect::<Vec<_>>(),
@@ -92,8 +91,9 @@ fn sbc_scale_sweep_parity() {
 
 #[test]
 fn compare_suites_parity() {
-    let serial = compare_suites_jobs(6, 2022, Jobs::serial());
-    let parallel = compare_suites_jobs(6, 2022, jobs8());
+    let none = FaultsConfig::none();
+    let serial = compare_suites(6, 2022, &none, &mut MetricsRegistry::new(), Jobs::serial());
+    let parallel = compare_suites(6, 2022, &none, &mut MetricsRegistry::new(), jobs8());
     assert_runs_identical(&serial.micro, &parallel.micro, "micro");
     assert_runs_identical(&serial.conventional, &parallel.conventional, "conventional");
     assert_eq!(serial.rows, parallel.rows);
@@ -103,9 +103,9 @@ fn compare_suites_parity() {
 fn compare_suites_faulted_parity_including_metrics_and_counters() {
     let faults = FaultsConfig::with_plan(noisy_plan());
     let mut serial_metrics = MetricsRegistry::new();
-    let serial = compare_suites_faulted_jobs(6, 2022, &faults, &mut serial_metrics, Jobs::serial());
+    let serial = compare_suites(6, 2022, &faults, &mut serial_metrics, Jobs::serial());
     let mut parallel_metrics = MetricsRegistry::new();
-    let parallel = compare_suites_faulted_jobs(6, 2022, &faults, &mut parallel_metrics, jobs8());
+    let parallel = compare_suites(6, 2022, &faults, &mut parallel_metrics, jobs8());
 
     assert_runs_identical(&serial.micro, &parallel.micro, "micro");
     assert_runs_identical(&serial.conventional, &parallel.conventional, "conventional");
@@ -191,8 +191,8 @@ proptest! {
         invocations in 1u32..4,
         jobs in 2usize..12,
     ) {
-        let serial = vm_sweep_jobs(max_vms, invocations, seed, Jobs::serial());
-        let parallel = vm_sweep_jobs(max_vms, invocations, seed, Jobs::new(jobs));
+        let serial = vm_sweep(max_vms, invocations, seed, Jobs::serial());
+        let parallel = vm_sweep(max_vms, invocations, seed, Jobs::new(jobs));
         prop_assert_eq!(serial, parallel);
     }
 
