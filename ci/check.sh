@@ -74,12 +74,15 @@ assert record['bench'] == 'core_scale', record['bench']
 assert record['ten_million_job_recipe']['completed'] == 10_000_000
 "
 
-echo "==> perfbench entry points: seed-2022 fingerprints on capacity and flash_taps"
+echo "==> perfbench entry points: seed-2022 fingerprints on capacity, flash_taps and gateway_mix"
 # perfbench checks every op's output against its recorded seed-2022
 # fingerprint (aggregates, ledger CSV, telemetry CSV), so a renamed entry
 # point or a moved result fails here rather than in a benchmark run.
+# gateway_mix folds every gateway response byte into its fingerprint, so
+# a change to a real kernel (regex, deflate, hashing, ...) that alters a
+# single response fails here too.
 cargo build --release -q --offline --manifest-path perfbench/Cargo.toml
-for workload in capacity flash_taps; do
+for workload in capacity flash_taps gateway_mix; do
     last="$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 2022 --seconds 1 --trace 0 | tail -n 1)"
     echo "$last" | python3 -c "

@@ -309,6 +309,21 @@ fn positive<T: Positive>(args: &Args, key: &str, default: T) -> Result<T, ParseA
     }
 }
 
+/// `--duration-secs` as a [`SimDuration`]. A value whose microseconds
+/// do not fit in `u64` is an error, where `SimDuration::from_secs` would
+/// wrap (release) or panic (debug).
+fn duration_flag(args: &Args, default_secs: u64) -> Result<SimDuration, ParseArgsError> {
+    let secs = args.get_or("duration-secs", default_secs)?;
+    secs.checked_mul(1_000_000)
+        .map(SimDuration::from_micros)
+        .ok_or_else(|| {
+            ParseArgsError(format!(
+                "--duration-secs {secs} is too long (at most {} s)",
+                u64::MAX / 1_000_000
+            ))
+        })
+}
+
 /// The one open-loop flag parser behind `openloop`, `monitor` and
 /// `energy`. It reads every open-loop flag — rate, arrivals,
 /// jobs-per-tick, policy, governor, budget, popularity, tenants,
@@ -354,7 +369,7 @@ fn open_loop_config(args: &Args) -> Result<OpenLoopConfig, ParseArgsError> {
     Ok(OpenLoopConfig {
         workers: positive(args, "workers", 10usize)?,
         seed: args.get_or("seed", 2022u64)?,
-        duration: SimDuration::from_secs(args.get_or("duration-secs", 600u64)?),
+        duration: duration_flag(args, 600)?,
         arrival,
         scheduler: args.get_str("policy").unwrap_or("random").parse()?,
         governor,
@@ -987,7 +1002,7 @@ fn sched(args: &Args) -> Result<(), ParseArgsError> {
         "cache",
     ])?;
     let rate = positive(args, "rate", 0.1f64)?;
-    let duration = SimDuration::from_secs(args.get_or("duration-secs", 1200u64)?);
+    let duration = duration_flag(args, 1200)?;
     let workers = positive(args, "workers", 10usize)?;
     let seed = args.get_or("seed", 1u64)?;
     let jobs = jobs_flag(args)?;
@@ -1075,7 +1090,7 @@ fn scenarios(args: &Args) -> Result<(), ParseArgsError> {
         }
         None => Scenario::standard_suite(),
     };
-    let duration = SimDuration::from_secs(args.get_or("duration-secs", 1200u64)?);
+    let duration = duration_flag(args, 1200)?;
     let workers = positive(args, "workers", 10usize)?;
     let seed = args.get_or("seed", 1u64)?;
     let jobs = jobs_flag(args)?;
@@ -1966,6 +1981,28 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn overflowing_durations_are_errors_not_panics() {
+        // 18,446,744,073,709 s is the longest duration whose microseconds
+        // fit in u64; one second more overflows.
+        for command in ["openloop", "monitor", "energy", "sched", "scenarios"] {
+            for value in ["18446744073710", "18446744073709551615"] {
+                let err = run(&[command, "--duration-secs", value])
+                    .expect_err("an overflowing duration must be rejected");
+                assert!(
+                    err.to_string().contains("--duration-secs")
+                        && err.to_string().contains("too long"),
+                    "{command} {value}: {err}"
+                );
+            }
+        }
+        let args = Args::parse(["openloop", "--duration-secs", "18446744073709"]).expect("parses");
+        assert_eq!(
+            duration_flag(&args, 600).expect("fits"),
+            SimDuration::from_micros(18_446_744_073_709_000_000)
+        );
     }
 
     #[test]

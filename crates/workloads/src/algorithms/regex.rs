@@ -1,16 +1,28 @@
-//! A small regular-expression engine (Thompson NFA construction with
-//! breadth-first simulation) for the `RegExSearch` and `RegExMatch`
-//! workloads.
+//! A small regular-expression engine (Thompson NFA construction with a
+//! single-pass, Pike-VM-style simulation) for the `RegExSearch` and
+//! `RegExMatch` workloads.
 //!
 //! Supported syntax: literals, `.`, character classes `[a-z0-9]` and
 //! negated classes `[^…]`, escapes `\d \D \w \W \s \S` plus escaped
 //! metacharacters, repetition `* + ?` and bounded `{m}`/`{m,n}`/`{m,}`,
 //! alternation `|`, grouping `(…)`, and anchors `^` / `$`.
 //!
-//! The simulation is linear in the input for `is_match`; matching never
-//! backtracks, so pathological patterns like `(a+)+` stay fast.
+//! Matching scans the text once, front to back, for both `is_match` and
+//! `find_all`. Every live thread is tagged with the offset its match
+//! attempt started at, a fresh thread is seeded at every position, and
+//! the thread list stays in start order. When two threads reach the same
+//! NFA state at the same position only the earlier start survives, since
+//! both have the same future; so the list holds at most one thread per
+//! state and each input byte costs O(states). When a thread accepts,
+//! every thread that started later lies inside its match and is dropped,
+//! which leaves `find_all` with leftmost-longest, non-overlapping ranges
+//! without rescanning any byte. Both calls are therefore linear in the
+//! input, and nothing backtracks, so pathological patterns like `(a+)+`
+//! stay fast. Each call allocates its thread lists and visited marks
+//! once and reuses them at every position.
 
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// Error produced when a pattern fails to parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -533,116 +545,203 @@ impl Regex {
         &self.pattern
     }
 
-    /// Adds `state` and everything reachable through ε-transitions to the
-    /// active set. `at_start`/`at_end` describe the current text position.
-    fn add_state(
-        &self,
-        state: usize,
-        list: &mut Vec<usize>,
-        on_list: &mut [bool],
-        at_start: bool,
-        at_end: bool,
-    ) {
-        if on_list[state] {
-            return;
-        }
-        on_list[state] = true;
-        match &self.states[state] {
-            State::Split { a, b } => {
-                self.add_state(*a, list, on_list, at_start, at_end);
-                self.add_state(*b, list, on_list, at_start, at_end);
-            }
-            State::AnchorStart { next } => {
-                if at_start {
-                    self.add_state(*next, list, on_list, at_start, at_end);
-                }
-            }
-            State::AnchorEnd { next } => {
-                if at_end {
-                    self.add_state(*next, list, on_list, at_start, at_end);
-                }
-            }
-            _ => list.push(state),
-        }
-    }
-
-    /// Runs the NFA from byte offset `from`, returning the end offset of
-    /// the longest match starting there.
-    fn run_from(&self, text: &[u8], from: usize) -> Option<usize> {
-        let mut current = Vec::new();
-        let mut on_list = vec![false; self.states.len()];
-        self.add_state(
-            self.start,
-            &mut current,
-            &mut on_list,
-            from == 0,
-            from == text.len(),
-        );
-        let mut last_match = if current
-            .iter()
-            .any(|&s| matches!(self.states[s], State::Accept))
-        {
-            Some(from)
-        } else {
-            None
-        };
-
-        let mut next_list = Vec::new();
-        for (offset, &byte) in text[from..].iter().enumerate() {
-            if current.is_empty() {
-                break;
-            }
-            next_list.clear();
-            let mut next_on = vec![false; self.states.len()];
-            let pos_after = from + offset + 1;
-            for &s in &current {
-                if let State::Char { set, next } = &self.states[s] {
-                    if set.contains(byte) {
-                        self.add_state(
-                            *next,
-                            &mut next_list,
-                            &mut next_on,
-                            false,
-                            pos_after == text.len(),
-                        );
-                    }
-                }
-            }
-            std::mem::swap(&mut current, &mut next_list);
-            if current
-                .iter()
-                .any(|&s| matches!(self.states[s], State::Accept))
-            {
-                last_match = Some(pos_after);
-            }
-        }
-        last_match
-    }
-
     /// Returns true if the pattern matches anywhere in `text`
     /// (the `RegExMatch` workload semantics).
     pub fn is_match(&self, text: &str) -> bool {
-        let bytes = text.as_bytes();
-        (0..=bytes.len()).any(|from| self.run_from(bytes, from).is_some())
+        let mut found = false;
+        self.scan(text.as_bytes(), |_, _| {
+            found = true;
+            ControlFlow::Break(())
+        });
+        found
     }
 
     /// Finds all leftmost-longest non-overlapping matches
     /// (the `RegExSearch` workload semantics). Returns byte ranges.
     pub fn find_all(&self, text: &str) -> Vec<(usize, usize)> {
-        let bytes = text.as_bytes();
-        let mut matches = Vec::new();
-        let mut from = 0;
-        while from <= bytes.len() {
-            match self.run_from(bytes, from) {
-                Some(end) => {
-                    matches.push((from, end));
-                    // Empty matches must still make progress.
-                    from = if end == from { from + 1 } else { end };
+        let mut matches: Vec<(usize, usize)> = Vec::new();
+        self.scan(text.as_bytes(), |start, end| {
+            // A match that starts earlier covers the tentative ones
+            // after it; a later end for the same start lengthens it.
+            while matches.last().is_some_and(|&(s, _)| s > start) {
+                matches.pop();
+            }
+            match matches.last_mut() {
+                Some(last) if last.0 == start => last.1 = end,
+                _ => matches.push((start, end)),
+            }
+            ControlFlow::Continue(())
+        });
+        matches
+    }
+
+    /// One pass over `text`, calling `on_match(start, end)` whenever a
+    /// thread that started at `start` accepts at `end`, in order of
+    /// `end`, until it returns `Break`.
+    ///
+    /// Every thread carries the offset its match attempt started at, and
+    /// the thread list stays in start order: the threads stepped from the
+    /// last position first, then a fresh thread seeded at this one. When
+    /// a thread that started at `s` accepts at `pos`, every later-started
+    /// thread lies inside the match `(s, pos)` and is dropped. So no live
+    /// thread ever starts inside a match reported so far, and a report
+    /// either lengthens the last match, starts after it, or starts
+    /// before it and covers it.
+    fn scan(&self, text: &[u8], mut on_match: impl FnMut(usize, usize) -> ControlFlow<()>) {
+        // At most one thread per state per position, so neither list
+        // grows past its first allocation.
+        let states = self.states.len();
+        let mut current = Vec::with_capacity(states);
+        let mut next = Vec::with_capacity(states);
+        let mut visited = Visited {
+            // Each state reached pushes at most two more.
+            stack: Vec::with_capacity(2 * states + 1),
+            marks: vec![0; states],
+            generation: 1,
+        };
+        // Whether the pattern matches the empty string after the text
+        // start, inside the text and at its end. A seed's empty match is
+        // read from here: earlier threads may already have claimed the
+        // ε-states on its way to `Accept` at the same position.
+        let empty_match = [false, true].map(|at_end| {
+            visited.next_position();
+            let accepts = self.add_thread(&mut next, &mut visited, self.start, 0, false, at_end);
+            next.clear();
+            accepts
+        });
+        visited.next_position();
+        let mut pos = 0;
+        loop {
+            // Seeded last, so the list stays in start order.
+            let at_end = pos == text.len();
+            let accepts = self.add_thread(
+                &mut current,
+                &mut visited,
+                self.start,
+                pos,
+                pos == 0,
+                at_end,
+            );
+            let empty = if pos == 0 {
+                accepts
+            } else {
+                empty_match[usize::from(at_end)]
+            };
+            if empty && on_match(pos, pos).is_break() {
+                return;
+            }
+            let Some(&byte) = text.get(pos) else {
+                return;
+            };
+            pos += 1;
+            visited.next_position();
+            next.clear();
+            let mut accepted: Option<usize> = None;
+            for thread in &current {
+                if accepted.is_some_and(|start| thread.start > start) {
+                    break;
                 }
-                None => from += 1,
+                let State::Char { set, next: to } = &self.states[thread.state] else {
+                    continue;
+                };
+                if set.contains(byte)
+                    && self.add_thread(
+                        &mut next,
+                        &mut visited,
+                        *to,
+                        thread.start,
+                        false,
+                        pos == text.len(),
+                    )
+                    && accepted.is_none()
+                {
+                    accepted = Some(thread.start);
+                    if on_match(thread.start, pos).is_break() {
+                        return;
+                    }
+                }
+            }
+            std::mem::swap(&mut current, &mut next);
+        }
+    }
+
+    /// Adds the `Char` states reachable from `state` through
+    /// ε-transitions to `list`, as threads that started at `start`, and
+    /// returns whether `Accept` is reachable. `at_start`/`at_end` say
+    /// whether the current position is the text's start or end, which
+    /// decides the anchors.
+    ///
+    /// A state already reached at this position is skipped: the thread
+    /// that got there first started no later (threads arrive in start
+    /// order) and has exactly the same future. A later-started thread
+    /// cut off from `Accept` this way lies inside the earlier start's
+    /// match and is dropped anyway; the one exception, a seed's empty
+    /// match, `scan` reads from the pattern instead.
+    fn add_thread(
+        &self,
+        list: &mut Vec<Thread>,
+        visited: &mut Visited,
+        state: usize,
+        start: usize,
+        at_start: bool,
+        at_end: bool,
+    ) -> bool {
+        let mut accepts = false;
+        visited.stack.push(state);
+        while let Some(s) = visited.stack.pop() {
+            match &self.states[s] {
+                State::Accept => accepts = true,
+                _ if !visited.insert(s) => {}
+                State::Split { a, b } => visited.stack.extend([*b, *a]),
+                State::AnchorStart { next } => {
+                    if at_start {
+                        visited.stack.push(*next);
+                    }
+                }
+                State::AnchorEnd { next } => {
+                    if at_end {
+                        visited.stack.push(*next);
+                    }
+                }
+                State::Char { .. } => list.push(Thread { state: s, start }),
             }
         }
-        matches
+        accepts
+    }
+}
+
+/// One simulation thread: an NFA `Char` state and the text offset where
+/// its match attempt started.
+#[derive(Debug, Clone, Copy)]
+struct Thread {
+    state: usize,
+    start: usize,
+}
+
+/// The states already reached at the current text position, plus the
+/// explicit stack of the ε-closure walk. One is allocated per scan and
+/// reused at every position.
+struct Visited {
+    stack: Vec<usize>,
+    /// `marks[s] == generation` when state `s` was reached at this position.
+    marks: Vec<u32>,
+    generation: u32,
+}
+
+impl Visited {
+    /// Forgets every mark in O(1) by moving to a new generation.
+    fn next_position(&mut self) {
+        self.generation = self.generation.checked_add(1).unwrap_or_else(|| {
+            self.marks.fill(0);
+            1
+        });
+    }
+
+    /// Marks `state` as reached at this position; false if it already was.
+    fn insert(&mut self, state: usize) -> bool {
+        let fresh = self.marks[state] != self.generation;
+        self.marks[state] = self.generation;
+        fresh
     }
 }
 
@@ -806,6 +905,198 @@ mod tests {
         assert!(r.is_match("abab"));
         assert!(r.is_match("ababab"));
         assert!(!r.is_match("abababab"));
+    }
+
+    #[test]
+    fn leftmost_start_beats_an_earlier_shorter_match() {
+        // At offset 2 the `b` branch (start 1) accepts first, but the
+        // longer branch that started at 0 accepts later and is leftmost.
+        assert_eq!(re("abc|b").find_all("abc"), vec![(0, 3)]);
+        assert_eq!(re("abcd|bc").find_all("abcx"), vec![(1, 3)]);
+        assert_eq!(re("a|a*b").find_all("aaab"), vec![(0, 4)]);
+        assert_eq!(re("a|a*b").find_all("aaa"), vec![(0, 1), (1, 2), (2, 3)]);
+    }
+
+    #[test]
+    fn anchors_hold_only_at_text_edges_in_find_all() {
+        assert_eq!(re("^a").find_all("aaa"), vec![(0, 1)]);
+        assert_eq!(re("a$").find_all("aaa"), vec![(2, 3)]);
+        assert_eq!(re("^").find_all("ab"), vec![(0, 0)]);
+        assert_eq!(re("$").find_all("ab"), vec![(2, 2)]);
+        assert_eq!(re("x*$").find_all("axx"), vec![(1, 3), (3, 3)]);
+    }
+
+    #[test]
+    fn empty_match_right_after_a_match_is_found() {
+        // The threads of the match ending at 2 reach the loop split
+        // before the seed at 2 does; the seed's empty match still counts.
+        assert_eq!(re("a*").find_all("aab"), vec![(0, 2), (2, 2), (3, 3)]);
+        assert_eq!(re("(ab)*").find_all("abx"), vec![(0, 2), (2, 2), (3, 3)]);
+    }
+
+    #[test]
+    fn find_all_is_linear_when_threads_outlive_a_match() {
+        // Every `a` is a match, while the `a*b` thread that started at
+        // 0 stays alive to the end. A search that restarted after each
+        // match would re-read the rest of the text every time.
+        let text = "a".repeat(50_000);
+        let start = std::time::Instant::now();
+        let matches = re("a|a*b").find_all(&text);
+        assert_eq!(matches.len(), 50_000);
+        assert_eq!(matches[49_999], (49_999, 50_000));
+        assert!(
+            start.elapsed().as_secs() < 5,
+            "find_all must not rescan after a match"
+        );
+    }
+
+    /// The per-start simulation this engine replaced: one NFA run from
+    /// every offset, each keeping the longest end. Slow but plainly
+    /// leftmost-longest, so it is the oracle for the single-pass scan.
+    mod naive {
+        use super::super::{Regex, State};
+
+        fn add(
+            re: &Regex,
+            state: usize,
+            list: &mut Vec<usize>,
+            on: &mut [bool],
+            pos: (bool, bool),
+        ) {
+            if on[state] {
+                return;
+            }
+            on[state] = true;
+            match &re.states[state] {
+                State::Split { a, b } => {
+                    add(re, *a, list, on, pos);
+                    add(re, *b, list, on, pos);
+                }
+                State::AnchorStart { next } if pos.0 => add(re, *next, list, on, pos),
+                State::AnchorEnd { next } if pos.1 => add(re, *next, list, on, pos),
+                State::AnchorStart { .. } | State::AnchorEnd { .. } => {}
+                _ => list.push(state),
+            }
+        }
+
+        fn longest_from(re: &Regex, text: &[u8], from: usize) -> Option<usize> {
+            let accepts =
+                |list: &[usize]| list.iter().any(|&s| matches!(re.states[s], State::Accept));
+            let mut list = Vec::new();
+            let mut on = vec![false; re.states.len()];
+            add(
+                re,
+                re.start,
+                &mut list,
+                &mut on,
+                (from == 0, from == text.len()),
+            );
+            let mut last = accepts(&list).then_some(from);
+            for pos in from..text.len() {
+                let mut next = Vec::new();
+                let mut on = vec![false; re.states.len()];
+                for &s in &list {
+                    if let State::Char { set, next: to } = &re.states[s] {
+                        if set.contains(text[pos]) {
+                            add(re, *to, &mut next, &mut on, (false, pos + 1 == text.len()));
+                        }
+                    }
+                }
+                list = next;
+                if accepts(&list) {
+                    last = Some(pos + 1);
+                }
+            }
+            last
+        }
+
+        pub fn is_match(re: &Regex, text: &[u8]) -> bool {
+            (0..=text.len()).any(|from| longest_from(re, text, from).is_some())
+        }
+
+        pub fn find_all(re: &Regex, text: &[u8]) -> Vec<(usize, usize)> {
+            let mut matches = Vec::new();
+            let mut from = 0;
+            while from <= text.len() {
+                match longest_from(re, text, from) {
+                    Some(end) => {
+                        matches.push((from, end));
+                        from = if end == from { from + 1 } else { end };
+                    }
+                    None => from += 1,
+                }
+            }
+            matches
+        }
+    }
+
+    /// A random pattern over the whole grammar: classes, `.`, escapes,
+    /// anchors, nested groups and alternation, every quantifier form.
+    fn random_pattern(rng: &mut microfaas_sim::Rng, depth: u32) -> String {
+        let branches = 1 + rng.index(3);
+        let mut out = Vec::new();
+        for _ in 0..branches {
+            let mut branch = String::new();
+            for _ in 0..rng.index(4) {
+                let atom = match rng.index(if depth > 0 { 9 } else { 8 }) {
+                    0..=4 => ["a", "b", "c"][rng.index(3)].to_string(),
+                    5 => ".".to_string(),
+                    6 => ["[ab]", "[^a]", "[a-c1]", r"\d", r"\w"][rng.index(5)].to_string(),
+                    7 => {
+                        branch.push_str(["^", "$"][rng.index(2)]);
+                        continue;
+                    }
+                    _ => format!("({})", random_pattern(rng, depth - 1)),
+                };
+                let quantifier = match rng.index(10) {
+                    0 => "*".to_string(),
+                    1 => "+".to_string(),
+                    2 => "?".to_string(),
+                    3 => format!("{{{}}}", rng.index(3)),
+                    4 => {
+                        let min = rng.index(3);
+                        format!("{{{min},{}}}", min + rng.index(3))
+                    }
+                    5 => format!("{{{},}}", rng.index(3)),
+                    _ => String::new(),
+                };
+                branch.push_str(&atom);
+                branch.push_str(&quantifier);
+            }
+            out.push(branch);
+        }
+        out.join("|")
+    }
+
+    #[test]
+    fn single_pass_scan_agrees_with_per_start_runs() {
+        let mut rng = microfaas_sim::Rng::new(15);
+        let mut checked = 0;
+        for _ in 0..4_000 {
+            let pattern = random_pattern(&mut rng, 2);
+            // A quantified group holding only an anchor, like `(^)*`, is
+            // rightly rejected; every other generated pattern parses.
+            let r = match Regex::new(&pattern) {
+                Ok(r) => r,
+                Err(e) if e.to_string().contains("cannot repeat an anchor") => continue,
+                Err(e) => panic!("generated pattern /{pattern}/ must parse: {e}"),
+            };
+            checked += 1;
+            let text: String = (0..rng.index(12))
+                .map(|_| ['a', 'b', 'c', '1', '\n'][rng.index(5)])
+                .collect();
+            assert_eq!(
+                r.find_all(&text),
+                naive::find_all(&r, text.as_bytes()),
+                "find_all /{pattern}/ on {text:?}"
+            );
+            assert_eq!(
+                r.is_match(&text),
+                naive::is_match(&r, text.as_bytes()),
+                "is_match /{pattern}/ on {text:?}"
+            );
+        }
+        assert!(checked > 3_500, "only {checked} generated patterns parsed");
     }
 
     #[test]

@@ -11,13 +11,23 @@
 //!
 //! Execution is metered by a **fuel** budget — the interpreter-level
 //! analog of the platform's invocation timeout — so a hostile
-//! `while true {}` cannot wedge a worker.
+//! `while true {}` cannot wedge a worker. Nesting deeper than
+//! [`MAX_DEPTH`] is a parse error, so hostile source cannot overflow the
+//! stack of the parser or the evaluator either.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::algorithms::md5::md5;
 use crate::algorithms::sha256::sha256;
+
+/// The deepest nesting [`Script::compile`] accepts: of parentheses and
+/// unary operators while parsing, of `if`/`while` blocks, and of the
+/// expression tree an operator chain like `1 + 1 + …` builds. The
+/// parser, the evaluator and the tree's drop each recurse once per
+/// level, so deeper source would overflow the stack. Real scripts nest
+/// a few levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A runtime value.
 #[derive(Debug, Clone, PartialEq)]
@@ -271,6 +281,25 @@ enum Stmt {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Parentheses, unary operators and blocks open around `pos`.
+    depth: usize,
+}
+
+/// A parsed expression and its height: the nodes on its longest path
+/// to a leaf.
+type Parsed = Result<(Expr, usize), ScriptError>;
+
+fn too_deep() -> ScriptError {
+    ScriptError::Parse(format!("nesting deeper than {MAX_DEPTH} levels"))
+}
+
+/// The height of a node over children at most `child` high, or an error
+/// once the tree would be taller than [`MAX_DEPTH`].
+fn taller(child: usize) -> Result<usize, ScriptError> {
+    if child >= MAX_DEPTH {
+        return Err(too_deep());
+    }
+    Ok(child + 1)
 }
 
 impl Parser {
@@ -299,7 +328,26 @@ impl Parser {
         }
     }
 
+    /// Runs `parse` one level deeper, failing before the recursion once
+    /// [`MAX_DEPTH`] levels are open.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ScriptError>,
+    ) -> Result<T, ScriptError> {
+        if self.depth == MAX_DEPTH {
+            return Err(too_deep());
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
     fn block(&mut self) -> Result<Vec<Stmt>, ScriptError> {
+        self.nested(Self::block_body)
+    }
+
+    fn block_body(&mut self) -> Result<Vec<Stmt>, ScriptError> {
         self.expect(&Token::LBrace)?;
         let mut statements = Vec::new();
         while self.peek() != Some(&Token::RBrace) {
@@ -326,7 +374,7 @@ impl Parser {
                 let else_block = if self.peek() == Some(&Token::Keyword("else")) {
                     self.pos += 1;
                     if self.peek() == Some(&Token::Keyword("if")) {
-                        vec![self.statement()?]
+                        vec![self.nested(Self::statement)?]
                     } else {
                         self.block()?
                     }
@@ -371,87 +419,93 @@ impl Parser {
         }
     }
 
-    // Precedence climbing: or < and < comparison < additive < multiplicative < unary.
     fn expression(&mut self) -> Result<Expr, ScriptError> {
-        self.or_expr()
+        Ok(self.subexpression()?.0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ScriptError> {
-        let mut left = self.and_expr()?;
-        while self.peek() == Some(&Token::Keyword("or")) {
-            self.pos += 1;
-            let right = self.and_expr()?;
-            left = Expr::Binary("or", Box::new(left), Box::new(right));
-        }
-        Ok(left)
+    // Precedence climbing: or < and < comparison < additive < multiplicative < unary.
+    fn subexpression(&mut self) -> Parsed {
+        self.nested(Self::or_expr)
     }
 
-    fn and_expr(&mut self) -> Result<Expr, ScriptError> {
-        let mut left = self.comparison()?;
-        while self.peek() == Some(&Token::Keyword("and")) {
-            self.pos += 1;
-            let right = self.comparison()?;
-            left = Expr::Binary("and", Box::new(left), Box::new(right));
-        }
-        Ok(left)
+    fn or_expr(&mut self) -> Parsed {
+        self.chain(Self::and_expr, true, |token| match token {
+            Token::Keyword("or") => Some("or"),
+            _ => None,
+        })
     }
 
-    fn comparison(&mut self) -> Result<Expr, ScriptError> {
-        let left = self.additive()?;
-        if let Some(Token::Op(op @ ("==" | "!=" | "<" | "<=" | ">" | ">="))) = self.peek() {
-            let op = *op;
-            self.pos += 1;
-            let right = self.additive()?;
-            return Ok(Expr::Binary(op, Box::new(left), Box::new(right)));
-        }
-        Ok(left)
+    fn and_expr(&mut self) -> Parsed {
+        self.chain(Self::comparison, true, |token| match token {
+            Token::Keyword("and") => Some("and"),
+            _ => None,
+        })
     }
 
-    fn additive(&mut self) -> Result<Expr, ScriptError> {
-        let mut left = self.multiplicative()?;
-        while let Some(Token::Op(op @ ("+" | "-"))) = self.peek() {
-            let op = *op;
+    fn comparison(&mut self) -> Parsed {
+        self.chain(Self::additive, false, |token| match token {
+            Token::Op(op @ ("==" | "!=" | "<" | "<=" | ">" | ">=")) => Some(*op),
+            _ => None,
+        })
+    }
+
+    fn additive(&mut self) -> Parsed {
+        self.chain(Self::multiplicative, true, |token| match token {
+            Token::Op(op @ ("+" | "-")) => Some(*op),
+            _ => None,
+        })
+    }
+
+    fn multiplicative(&mut self) -> Parsed {
+        self.chain(Self::unary, true, |token| match token {
+            Token::Op(op @ ("*" | "/" | "%")) => Some(*op),
+            _ => None,
+        })
+    }
+
+    /// One left-associative precedence level: `operand (op operand)*`
+    /// over the operators `op` accepts, or at most one `op` unless
+    /// `repeat`. A long chain builds a tall tree without recursing, so
+    /// its height is checked here.
+    fn chain(
+        &mut self,
+        operand: fn(&mut Self) -> Parsed,
+        repeat: bool,
+        op: fn(&Token) -> Option<&'static str>,
+    ) -> Parsed {
+        let (mut left, mut height) = operand(self)?;
+        while let Some(op) = self.peek().and_then(op) {
             self.pos += 1;
-            let right = self.multiplicative()?;
+            let (right, right_height) = operand(self)?;
+            height = taller(height.max(right_height))?;
             left = Expr::Binary(op, Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, ScriptError> {
-        let mut left = self.unary()?;
-        while let Some(Token::Op(op @ ("*" | "/" | "%"))) = self.peek() {
-            let op = *op;
-            self.pos += 1;
-            let right = self.unary()?;
-            left = Expr::Binary(op, Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn unary(&mut self) -> Result<Expr, ScriptError> {
-        match self.peek() {
-            Some(Token::Op("-")) => {
-                self.pos += 1;
-                Ok(Expr::Unary("-", Box::new(self.unary()?)))
+            if !repeat {
+                break;
             }
-            Some(Token::Op("!")) => {
-                self.pos += 1;
-                Ok(Expr::Unary("!", Box::new(self.unary()?)))
-            }
-            _ => self.primary(),
         }
+        Ok((left, height))
     }
 
-    fn primary(&mut self) -> Result<Expr, ScriptError> {
+    fn unary(&mut self) -> Parsed {
+        let op = match self.peek() {
+            Some(Token::Op(op @ ("-" | "!"))) => *op,
+            _ => return self.primary(),
+        };
+        self.pos += 1;
+        let (inner, height) = self.nested(Self::unary)?;
+        Ok((Expr::Unary(op, Box::new(inner)), taller(height)?))
+    }
+
+    fn primary(&mut self) -> Parsed {
+        let leaf = |expr| Ok((expr, 1));
         match self.next()? {
-            Token::Int(n) => Ok(Expr::Literal(Value::Int(n))),
-            Token::Float(x) => Ok(Expr::Literal(Value::Float(x))),
-            Token::Str(s) => Ok(Expr::Literal(Value::Str(s))),
-            Token::Keyword("true") => Ok(Expr::Literal(Value::Bool(true))),
-            Token::Keyword("false") => Ok(Expr::Literal(Value::Bool(false))),
+            Token::Int(n) => leaf(Expr::Literal(Value::Int(n))),
+            Token::Float(x) => leaf(Expr::Literal(Value::Float(x))),
+            Token::Str(s) => leaf(Expr::Literal(Value::Str(s))),
+            Token::Keyword("true") => leaf(Expr::Literal(Value::Bool(true))),
+            Token::Keyword("false") => leaf(Expr::Literal(Value::Bool(false))),
             Token::LParen => {
-                let inner = self.expression()?;
+                let inner = self.subexpression()?;
                 self.expect(&Token::RParen)?;
                 Ok(inner)
             }
@@ -459,9 +513,12 @@ impl Parser {
                 if self.peek() == Some(&Token::LParen) {
                     self.pos += 1;
                     let mut args = Vec::new();
+                    let mut height = 0;
                     if self.peek() != Some(&Token::RParen) {
                         loop {
-                            args.push(self.expression()?);
+                            let (arg, arg_height) = self.subexpression()?;
+                            args.push(arg);
+                            height = height.max(arg_height);
                             match self.next()? {
                                 Token::Comma => continue,
                                 Token::RParen => break,
@@ -475,9 +532,9 @@ impl Parser {
                     } else {
                         self.pos += 1; // ')'
                     }
-                    Ok(Expr::Call(name, args))
+                    Ok((Expr::Call(name, args), taller(height)?))
                 } else {
-                    Ok(Expr::Var(name))
+                    leaf(Expr::Var(name))
                 }
             }
             other => Err(ScriptError::Parse(format!("unexpected token {other:?}"))),
@@ -530,10 +587,15 @@ impl Script {
     ///
     /// # Errors
     ///
-    /// Returns [`ScriptError::Parse`] describing the first problem.
+    /// Returns [`ScriptError::Parse`] describing the first problem,
+    /// including nesting deeper than [`MAX_DEPTH`].
     pub fn compile(source: &str) -> Result<Script, ScriptError> {
         let tokens = lex(source)?;
-        let mut parser = Parser { tokens, pos: 0 };
+        let mut parser = Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        };
         let mut statements = Vec::new();
         while parser.peek().is_some() {
             statements.push(parser.statement()?);
@@ -935,6 +997,23 @@ mod tests {
     fn fuel_stops_infinite_loops() {
         let script = Script::compile("while true { let x = 1; }").expect("compiles");
         assert_eq!(script.run(10_000), Err(ScriptError::OutOfFuel));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        // The statement's expression is the first level.
+        let parens = |n: usize| format!("return {}1{};", "(".repeat(n), ")".repeat(n));
+        let negations = |n: usize| format!("return {}1;", "-".repeat(n));
+        let chain = |n: usize| format!("return {}1;", "1 + ".repeat(n));
+        let blocks = |n: usize| format!("{}return 1;{}", "if true { ".repeat(n), "}".repeat(n));
+        for shape in [parens, negations, chain, blocks] {
+            assert!(Script::compile(&shape(MAX_DEPTH - 1)).is_ok());
+            let err = Script::compile(&shape(MAX_DEPTH)).expect_err("past the cap");
+            assert!(err.to_string().contains("nesting"), "{err}");
+        }
+        // The cap is on depth, not size: long flat scripts still compile.
+        let flat = "let x = 1; ".repeat(10_000) + "return (x + 1) * (x - 1);";
+        assert_eq!(eval(&flat), Value::Int(0));
     }
 
     #[test]

@@ -599,6 +599,55 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// The regex workloads' outputs, captured from the engine that ran
+    /// one NFA simulation per start offset. The single-pass scan must
+    /// reproduce them: the summaries, and every `RegExSearch` range
+    /// (folded into an FNV-1a hash).
+    #[test]
+    fn regex_outputs_are_pinned() {
+        let pinned = [
+            (
+                1,
+                "found 515 matches",
+                "98/200 lines matched",
+                0x1c67_7568_3383_468c,
+            ),
+            (
+                7,
+                "found 495 matches",
+                "94/200 lines matched",
+                0xc68c_0362_b539_56d4,
+            ),
+            (
+                2022,
+                "found 540 matches",
+                "107/200 lines matched",
+                0x6bee_e50a_7859_f0e3,
+            ),
+        ];
+        for (seed, search, matched, ranges_hash) in pinned {
+            for (function, summary) in [
+                (FunctionId::RegexSearch, search),
+                (FunctionId::RegexMatch, matched),
+            ] {
+                let mut backends = ServiceBackends::seeded();
+                let mut rng = Rng::new(seed);
+                let out = run_function(function, 1, &mut rng, &mut backends).expect("runs");
+                assert_eq!(out.summary, summary, "{function} at seed {seed}");
+            }
+            let re = Regex::new(r"[a-z]+@[a-z]+\.(com|org|net)").expect("valid pattern");
+            let text = synth_log_text(64 * 1024, &mut Rng::new(seed));
+            let hash = re
+                .find_all(&text)
+                .into_iter()
+                .flat_map(|(start, end)| [start as u64, end as u64])
+                .fold(0xcbf2_9ce4_8422_2325_u64, |h, v| {
+                    (h ^ v).wrapping_mul(0x0100_0000_01b3)
+                });
+            assert_eq!(hash, ranges_hash, "RegExSearch ranges at seed {seed}");
+        }
+    }
+
     #[test]
     fn redis_update_touches_existing_keys() {
         let mut backends = ServiceBackends::seeded();

@@ -1,6 +1,7 @@
 //! Differential testing of the Thompson-NFA regex engine against an
 //! independent, obviously-correct backtracking reference matcher, over
-//! randomly generated patterns and inputs.
+//! randomly generated patterns and inputs: `is_match` agrees, and
+//! `find_all` returns exactly the reference's leftmost-longest ranges.
 //!
 //! The reference supports the shared grammar subset (literals, `.`,
 //! single-char classes, `* + ?` on atoms, one level of alternation) and
@@ -85,19 +86,48 @@ impl RefPattern {
     fn matches_at(&self, text: &[u8]) -> bool {
         self.branches
             .iter()
-            .any(|pieces| match_pieces(pieces, text))
+            .any(|pieces| match_pieces(pieces, text, false))
     }
 
     /// Unanchored search, the engine's `is_match` semantics.
     fn is_match(&self, text: &[u8]) -> bool {
         (0..=text.len()).any(|from| self.matches_at(&text[from..]))
     }
+
+    /// The length of the longest prefix of `text` that some branch
+    /// matches in full.
+    fn longest_at(&self, text: &[u8]) -> Option<usize> {
+        (0..=text.len()).rev().find(|&len| {
+            self.branches
+                .iter()
+                .any(|pieces| match_pieces(pieces, &text[..len], true))
+        })
+    }
+
+    /// Leftmost-longest, non-overlapping matches, the engine's
+    /// `find_all` semantics: the longest match at the first start that
+    /// has one, then on from its end, or one byte on after an empty match.
+    fn find_all(&self, text: &[u8]) -> Vec<(usize, usize)> {
+        let mut matches = Vec::new();
+        let mut from = 0;
+        while from <= text.len() {
+            match self.longest_at(&text[from..]) {
+                Some(len) => {
+                    matches.push((from, from + len));
+                    from += len.max(1);
+                }
+                None => from += 1,
+            }
+        }
+        matches
+    }
 }
 
-/// Backtracking match of a piece sequence against a prefix of `text`.
-fn match_pieces(pieces: &[RefPiece], text: &[u8]) -> bool {
+/// Backtracking match of a piece sequence against a prefix of `text`,
+/// or against all of it when `whole` is set.
+fn match_pieces(pieces: &[RefPiece], text: &[u8], whole: bool) -> bool {
     match pieces.split_first() {
-        None => true,
+        None => !whole || text.is_empty(),
         Some((piece, rest)) => {
             // Count how many leading bytes the atom could consume.
             let mut available = 0;
@@ -110,7 +140,7 @@ fn match_pieces(pieces: &[RefPiece], text: &[u8]) -> bool {
             }
             // Greedy-to-lazy backtracking over the repetition count.
             for take in (piece.min as usize..=upper).rev() {
-                if match_pieces(rest, &text[take..]) {
+                if match_pieces(rest, &text[take..], whole) {
                     return true;
                 }
             }
@@ -214,28 +244,20 @@ proptest! {
         prop_assert!(Regex::new(&source).is_ok(), "/{}/", source);
     }
 
-    /// find_all ranges really match and do not overlap.
+    /// The engine's `find_all` returns exactly the reference's
+    /// leftmost-longest ranges, not merely ranges that match.
     #[test]
-    fn find_all_ranges_are_valid(
+    fn find_all_agrees_with_backtracking_reference(
         pattern in pattern_strategy(),
         text in text_strategy(),
     ) {
         let source = pattern.to_pattern();
         let engine = Regex::new(&source).expect("parses");
         let text_str = std::str::from_utf8(&text).expect("ascii input");
-        let matches = engine.find_all(text_str);
-        let mut last_end = 0;
-        for (start, end) in matches {
-            prop_assert!(start <= end && end <= text.len());
-            prop_assert!(start >= last_end, "overlap at {start}");
-            last_end = end.max(start);
-            if start < end {
-                // The matched substring must itself match at position 0.
-                prop_assert!(
-                    pattern.matches_at(&text[start..]),
-                    "reported match at {start} does not verify for /{source}/"
-                );
-            }
-        }
+        prop_assert_eq!(
+            engine.find_all(text_str),
+            pattern.find_all(&text),
+            "pattern /{}/ on {:?}", source, text_str
+        );
     }
 }
