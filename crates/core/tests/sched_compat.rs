@@ -599,6 +599,55 @@ fn sbc_open_loop_ledger_and_telemetry_are_pinned() {
     );
 }
 
+/// The crash plan is the only feature config whose jobs are pulled off
+/// a failed worker mid-execution, so it is the one that drives the
+/// attributor's park-and-resume path.
+#[test]
+fn sbc_open_loop_crash_ledger_and_telemetry_are_pinned() {
+    let config = sbc_feature_config("crash");
+    let (run, ledger, series) =
+        run_open_loop_monitored_attributed(&config, IdlePolicy::Equal, &TelemetryConfig::default());
+    assert!(run.faults_injected > 0, "the crash plan must fire");
+    assert!(ledger.conserves());
+    let got = (
+        fnv_debug(&run),
+        fnv1a(ledger.to_csv().as_bytes()),
+        fnv1a(series.to_csv().as_bytes()),
+    );
+    assert_eq!(
+        got,
+        (
+            0xcddd_e7da_7d1d_3355,
+            0xb980_2627_b713_dfe1,
+            0xd0a1_0879_b237_84a7
+        ),
+        "crash-plan ledger or telemetry CSV diverged from its golden"
+    );
+}
+
+/// An eight-window ring over a 300 s run evicts all but the last eight
+/// windows, so closed windows hand their storage on and evicted slots
+/// are recycled; the default 4,096-window ring never fills in the
+/// goldens above.
+#[test]
+fn evicting_telemetry_ring_is_pinned() {
+    let config = sbc_feature_config("cache");
+    let telemetry = TelemetryConfig {
+        max_windows: 8,
+        ..TelemetryConfig::default()
+    };
+    let (_, ledger, series) =
+        run_open_loop_monitored_attributed(&config, IdlePolicy::None, &telemetry);
+    assert!(ledger.conserves());
+    assert_eq!(series.windows.len(), 8);
+    assert!(series.dropped_windows > 0);
+    assert_eq!(
+        fnv1a(series.to_csv().as_bytes()),
+        0xb0ca_2be2_85bb_31fd,
+        "evicting telemetry CSV diverged from its golden"
+    );
+}
+
 #[test]
 fn conventional_open_loop_is_pinned() {
     let plain = feature_config(1.0, 45);
