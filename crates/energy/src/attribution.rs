@@ -178,9 +178,11 @@ struct ChannelState {
     /// True between `boot_started` and `boot_done`: segments route to
     /// the boot pool, credited to the next job the channel runs.
     booting: bool,
-    /// Jobs currently drawing on this channel (the SBC engine keeps at
-    /// most one; the shared conventional channel holds many).
-    active: Vec<u64>,
+    /// Jobs currently drawing on this channel, each with its
+    /// accumulator held inline so a segment settles without a lookup
+    /// (the SBC engine keeps at most one; the shared conventional
+    /// channel holds many).
+    active: Vec<(u64, JobAcc)>,
     /// Boot joules waiting to be claimed by the next job, in pJ.
     pending_boot_pj: u128,
 }
@@ -204,15 +206,23 @@ impl JobAcc {
 /// Mirror every `EnergyMeter::set_power` call with [`Attributor::set_power`]
 /// and mark job lifecycle edges as they happen; [`Attributor::finalize`]
 /// then yields the conserving [`EnergyLedger`]. The attributor consumes
-/// no randomness and allocates only per in-flight job, so running one
-/// alongside an engine leaves simulated results bit-identical.
+/// no randomness, so running one alongside an engine leaves simulated
+/// results bit-identical.
+///
+/// In-flight accumulators live on their channel, so phase edges and
+/// power updates neither hash nor allocate: a channel's job list
+/// allocates only when it outgrows its high-water mark (never, on the
+/// one-job SBC channels), and only a crash (`interrupted`) parks an
+/// accumulator in a job-id map until the job restarts.
 #[derive(Debug, Clone)]
 pub struct Attributor {
     policy: IdlePolicy,
     functions: Vec<String>,
     tenants: Vec<String>,
     channels: Vec<ChannelState>,
-    inflight: HashMap<u64, JobAcc>,
+    /// Accumulators of jobs pulled off a failed worker, waiting for
+    /// the job to start again.
+    parked: HashMap<u64, JobAcc>,
     /// Completed-job attribution per function: `[func][phase]` pJ.
     func_pj: Vec<[u128; 5]>,
     func_completions: Vec<u64>,
@@ -247,7 +257,7 @@ impl Attributor {
             functions,
             tenants,
             channels: Vec::new(),
-            inflight: HashMap::new(),
+            parked: HashMap::new(),
             func_pj: vec![[0; 5]; nf],
             func_completions: vec![0; nf],
             tenant_pj: vec![0; nt],
@@ -271,7 +281,7 @@ impl Attributor {
             last_us: 0,
             microwatts: 0,
             booting: false,
-            active: Vec::new(),
+            active: Vec::with_capacity(1),
             pending_boot_pj: 0,
         });
         self.channels.len() - 1
@@ -297,11 +307,7 @@ impl Attributor {
             let n = state.active.len() as u128;
             let share = seg / n;
             self.idle_pj += seg % n;
-            for &job in &state.active {
-                let acc = self
-                    .inflight
-                    .get_mut(&job)
-                    .expect("active job has an in-flight accumulator");
+            for (_, acc) in &mut state.active {
                 acc.phase_pj[acc.phase.index()] += share;
             }
         }
@@ -343,23 +349,37 @@ impl Attributor {
     /// job that was [`Attributor::interrupted`] resumes its accumulator.
     pub fn job_started(&mut self, ch: usize, at: SimTime, job: u64, func: usize, tenant: usize) {
         self.settle(ch, at.as_micros());
-        let pending = std::mem::take(&mut self.channels[ch].pending_boot_pj);
-        let acc = self.inflight.entry(job).or_insert(JobAcc {
+        let resumed = if self.parked.is_empty() {
+            None
+        } else {
+            self.parked.remove(&job)
+        };
+        let mut acc = resumed.unwrap_or(JobAcc {
             func,
             tenant,
             phase: Phase::Exec,
             phase_pj: [0; 5],
         });
+        let state = &mut self.channels[ch];
         acc.phase = Phase::Exec;
-        acc.phase_pj[Phase::Boot.index()] += pending;
-        self.channels[ch].active.push(job);
+        acc.phase_pj[Phase::Boot.index()] += std::mem::take(&mut state.pending_boot_pj);
+        state.active.push((job, acc));
+    }
+
+    /// Removes `job` from `ch`'s in-flight list, returning its
+    /// accumulator (the list's order carries no meaning: every job on
+    /// a channel draws an equal share).
+    fn take_active(&mut self, ch: usize, job: u64) -> Option<JobAcc> {
+        let active = &mut self.channels[ch].active;
+        let pos = active.iter().position(|&(j, _)| j == job)?;
+        Some(active.swap_remove(pos).1)
     }
 
     /// Execution finished; the job's remaining draw on the channel is
     /// response-transfer energy.
     pub fn response_started(&mut self, ch: usize, at: SimTime, job: u64) {
         self.settle(ch, at.as_micros());
-        if let Some(acc) = self.inflight.get_mut(&job) {
+        if let Some((_, acc)) = self.channels[ch].active.iter_mut().find(|(j, _)| *j == job) {
             acc.phase = Phase::Response;
         }
     }
@@ -369,8 +389,7 @@ impl Attributor {
     /// governors).
     pub fn job_finished(&mut self, ch: usize, at: SimTime, job: u64) -> u64 {
         self.settle(ch, at.as_micros());
-        self.channels[ch].active.retain(|&j| j != job);
-        let Some(acc) = self.inflight.remove(&job) else {
+        let Some(acc) = self.take_active(ch, job) else {
             return 0;
         };
         let total = acc.total_pj();
@@ -388,7 +407,9 @@ impl Attributor {
     /// keeps its accumulated joules for when it restarts elsewhere.
     pub fn interrupted(&mut self, ch: usize, at: SimTime, job: u64) {
         self.settle(ch, at.as_micros());
-        self.channels[ch].active.retain(|&j| j != job);
+        if let Some(acc) = self.take_active(ch, job) {
+            self.parked.insert(job, acc);
+        }
     }
 
     /// Records a completion that consumed no cluster energy — a result
@@ -420,7 +441,13 @@ impl Attributor {
         }
         // Jobs the horizon cut off never completed: their partial
         // joules stay unattributed so completed rows mean what they say.
-        let orphans: u128 = self.inflight.values().map(JobAcc::total_pj).sum();
+        let orphans: u128 = self
+            .channels
+            .iter()
+            .flat_map(|state| state.active.iter().map(|(_, acc)| acc))
+            .chain(self.parked.values())
+            .map(JobAcc::total_pj)
+            .sum();
         self.idle_pj += orphans;
 
         let nf = self.functions.len();

@@ -400,6 +400,16 @@ impl QuantileSketch {
         *self.bucket_mut(index) += 1;
     }
 
+    /// Forgets every observation but keeps the bucket storage, so a
+    /// sketch reused for the next window of a stream does not regrow
+    /// it. Answers afterwards match a fresh sketch's.
+    pub fn clear(&mut self) {
+        self.offset = 0;
+        self.counts.clear();
+        self.zeros = 0;
+        self.total = 0;
+    }
+
     /// Number of observations recorded.
     pub fn count(&self) -> u64 {
         self.total
@@ -757,6 +767,28 @@ mod tests {
         }
         left.merge(&right);
         assert_eq!(left, combined, "merge is exact on bucket counts");
+    }
+
+    #[test]
+    fn cleared_sketch_matches_a_fresh_one() {
+        let mut reused = QuantileSketch::with_relative_error(0.01);
+        for i in 1..2000 {
+            reused.record(f64::from(i) * 0.7);
+        }
+        reused.record(0.0);
+        reused.clear();
+        assert_eq!(reused.quantile(50.0), None);
+        let mut fresh = QuantileSketch::with_relative_error(0.01);
+        // Lower than anything recorded before the clear, so the bucket
+        // range must restart rather than extend the old one.
+        for v in [0.002, 0.0, 0.03, 0.0011] {
+            reused.record(v);
+            fresh.record(v);
+        }
+        assert_eq!(reused, fresh);
+        for p in [0.0, 25.0, 50.0, 99.0, 100.0] {
+            assert_eq!(reused.quantile(p), fresh.quantile(p));
+        }
     }
 
     #[test]

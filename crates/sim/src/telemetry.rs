@@ -449,15 +449,38 @@ impl CompletionWindows {
         }
     }
 
+    /// Closes the newest window and opens the next. The closing window
+    /// keeps an exact-fit copy of its sketch and hands the grown bucket
+    /// storage on, cleared, to the new window; once the ring is full,
+    /// the evicted window's tenant counters are zeroed and reused. An
+    /// evicted window's sketch is dropped, not reused: a recycled slot
+    /// would keep the largest sketch any earlier window in it grew.
     fn push_window(&mut self) {
-        let acc = CompAcc::new(self.epsilon, self.tenants.len());
-        self.wins.push_back(acc);
-        self.boundary_us += self.width_us;
-        if self.wins.len() > self.limit {
-            self.wins.pop_front();
+        let closing = self.wins.back_mut().expect("ring is never empty");
+        let kept = closing.sketch.clone();
+        let mut sketch = std::mem::replace(&mut closing.sketch, kept);
+        sketch.clear();
+        let (tenant_completed, tenant_slo_hits) = if self.wins.len() == self.limit {
+            let evicted = self.wins.pop_front().expect("ring is never empty");
             self.base += 1;
             self.dropped += 1;
-        }
+            let (mut completed, mut hits) = (evicted.tenant_completed, evicted.tenant_slo_hits);
+            completed.fill(0);
+            hits.fill(0);
+            (completed, hits)
+        } else {
+            (vec![0; self.tenants.len()], vec![0; self.tenants.len()])
+        };
+        self.wins.push_back(CompAcc {
+            completed: 0,
+            served_from_cache: 0,
+            latency_sum: 0.0,
+            latency_max: 0.0,
+            sketch,
+            tenant_completed,
+            tenant_slo_hits,
+        });
+        self.boundary_us += self.width_us;
     }
 
     /// Records one completion. `served_from_cache` marks invocations
@@ -1389,6 +1412,43 @@ mod tests {
         assert_eq!(w1.completed, 1);
         assert_eq!(w1.served_from_cache, 1);
         assert_eq!(w1.tenants[0].errors(), 1);
+    }
+
+    #[test]
+    fn closed_windows_answer_like_fresh_sketches() {
+        let mut comp = CompletionWindows::new(&cfg(1), Vec::new());
+        let fresh_sketch = || QuantileSketch::with_relative_error(DEFAULT_TELEMETRY_EPSILON);
+        let mut first = fresh_sketch();
+        for (k, v) in [0.4, 0.05, 3.0, 0.0].into_iter().enumerate() {
+            comp.record(SimTime::from_millis(100 * k as u64), v, 0, false);
+            first.record(v);
+        }
+        // Several hand-offs, each window wider than the last, so the
+        // passed-on storage outgrows anything window 0 ever held.
+        let mut third = fresh_sketch();
+        for s in 1..6u64 {
+            for k in 1..=20u64 {
+                let v = 0.001 * (k * k * s) as f64;
+                comp.record(SimTime::from_millis(s * 1000 + k * 10), v, 0, false);
+                if s == 3 {
+                    third.record(v);
+                }
+            }
+        }
+        // Late completions into closed window 0, below and above the
+        // bucket range its exact-fit copy kept.
+        for v in [0.002, 40.0, 0.4] {
+            comp.record(SimTime::from_millis(900), v, 0, false);
+            first.record(v);
+        }
+        for (index, fresh) in [(0, &first), (3, &third)] {
+            let kept = &comp.get(index).expect("window retained").sketch;
+            assert_eq!(kept, fresh, "window {index}");
+            for p in [0.0, 1.0, 50.0, 95.0, 99.0, 100.0] {
+                assert_eq!(kept.quantile(p), fresh.quantile(p), "window {index} p{p}");
+            }
+        }
+        assert_eq!(comp.get(0).expect("window retained").completed, 7);
     }
 
     #[test]
