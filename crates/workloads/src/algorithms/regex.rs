@@ -20,9 +20,18 @@
 //! input, and nothing backtracks, so pathological patterns like `(a+)+`
 //! stay fast. Each call allocates its thread lists and visited marks
 //! once and reuses them at every position.
+//!
+//! Groups nested deeper than [`MAX_DEPTH`] are a parse error: the parser
+//! and the NFA compiler recurse once per level, so hostile patterns
+//! cannot overflow the stack.
 
 use std::fmt;
 use std::ops::ControlFlow;
+
+/// Deepest group nesting [`Regex::new`] accepts. The parser and the
+/// compiler recurse once per level, so deeper patterns would overflow
+/// the stack; real patterns nest a few levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// Error produced when a pattern fails to parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,6 +157,8 @@ impl CharSet {
 struct Parser<'a> {
     pattern: &'a [u8],
     pos: usize,
+    /// Groups open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -155,6 +166,7 @@ impl<'a> Parser<'a> {
         let mut parser = Parser {
             pattern: pattern.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let ast = parser.alternation()?;
         if parser.pos != parser.pattern.len() {
@@ -304,7 +316,15 @@ impl<'a> Parser<'a> {
         match self.bump() {
             None => Err(err(start, "unexpected end of pattern")),
             Some(b'(') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(err(
+                        start,
+                        format!("groups nested deeper than {MAX_DEPTH} levels"),
+                    ));
+                }
+                self.depth += 1;
                 let inner = self.alternation()?;
+                self.depth -= 1;
                 match self.bump() {
                     Some(b')') => Ok(inner),
                     _ => Err(err(start, "unclosed group")),
@@ -527,7 +547,8 @@ impl Regex {
     ///
     /// # Errors
     ///
-    /// Returns [`ParsePatternError`] for malformed syntax.
+    /// Returns [`ParsePatternError`] for malformed syntax or groups
+    /// nested deeper than [`MAX_DEPTH`].
     pub fn new(pattern: &str) -> Result<Self, ParsePatternError> {
         let ast = Parser::parse(pattern)?;
         let mut compiler = Compiler { states: Vec::new() };
@@ -889,6 +910,21 @@ mod tests {
         assert!(Regex::new("[z-a]").is_err());
         assert!(Regex::new("a{").is_err());
         assert!(Regex::new("a{99999}").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_an_abort() {
+        let nested = |depth: usize| format!("{}a{}", "(".repeat(depth), ")".repeat(depth));
+        let e = Regex::new(&nested(200_000)).expect_err("nesting past the cap");
+        assert_eq!(e.position, MAX_DEPTH);
+        assert!(e.to_string().contains("nested deeper"), "{e}");
+        assert!(Regex::new(&nested(MAX_DEPTH + 1)).is_err());
+        let at_cap = re(&nested(MAX_DEPTH));
+        assert_eq!(at_cap.find_all("baab"), vec![(1, 2), (2, 3)]);
+        // Repetition inside every level builds the tallest tree the
+        // grammar allows at the cap; it still compiles and matches.
+        let starred = format!("{}a{}", "(".repeat(MAX_DEPTH), ")*".repeat(MAX_DEPTH));
+        assert!(re(&starred).is_match("aaa"));
     }
 
     #[test]
