@@ -74,13 +74,20 @@ assert record['bench'] == 'core_scale', record['bench']
 assert record['ten_million_job_recipe']['completed'] == 10_000_000
 "
 
-echo "==> perfbench entry points: seed-2022 fingerprints on capacity, flash_taps and gateway_mix"
+echo "==> perfbench entry points: seed-2022 fingerprints and allocation ceilings on capacity, flash_taps and gateway_mix"
 # perfbench checks every op's output against its recorded seed-2022
 # fingerprint (aggregates, ledger CSV, telemetry CSV), so a renamed entry
 # point or a moved result fails here rather than in a benchmark run.
 # gateway_mix folds every gateway response byte into its fingerprint, so
 # a change to a real kernel (regex, deflate, hashing, ...) that alters a
 # single response fails here too.
+#
+# allocs_per_op is an exact count that repeats at any --seconds, so it is
+# gated where wall time cannot be: each ceiling is the count measured at
+# seed 2022 when it was set (capacity 0.098664, flash_taps 0.110134,
+# gateway_mix 331.563) plus 2%. Lower a ceiling when a change lowers the
+# count; raising one needs the reason in CHANGES.md.
+declare -A alloc_ceiling=([capacity]=0.10064 [flash_taps]=0.11234 [gateway_mix]=338.19)
 cargo build --release -q --offline --manifest-path perfbench/Cargo.toml
 for workload in capacity flash_taps gateway_mix; do
     last="$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
@@ -89,8 +96,11 @@ for workload in capacity flash_taps gateway_mix; do
 import json, sys
 result = json.load(sys.stdin)
 assert result['failed'] == 0, f\"{result['failed']} of {result['attempted']} ops failed\"
-print('$workload: attempted', result['attempted'], 'failed 0')
-" || { echo "perfbench $workload reported failed ops"; exit 1; }
+allocs = result['metrics']['allocs_per_op']['value']
+ceiling = ${alloc_ceiling[$workload]}
+assert allocs <= ceiling, f'allocs_per_op {allocs} is above the ceiling {ceiling}'
+print('$workload: attempted', result['attempted'], 'failed 0, allocs_per_op', allocs, '<=', ceiling)
+" || { echo "perfbench $workload failed ops or exceeded its allocation ceiling"; exit 1; }
 done
 
 echo "==> result-cache throughput floor (hot-hit lookups >= 20 Melem/s)"
