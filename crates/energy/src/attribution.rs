@@ -349,6 +349,7 @@ impl Attributor {
     /// job that was [`Attributor::interrupted`] resumes its accumulator.
     pub fn job_started(&mut self, ch: usize, at: SimTime, job: u64, func: usize, tenant: usize) {
         self.settle(ch, at.as_micros());
+        // Crash-free runs never park a job: skip hashing the id.
         let resumed = if self.parked.is_empty() {
             None
         } else {
